@@ -8,6 +8,13 @@ ellipsoid problem, and a Cauchy-Schwarz estimate against a second positive
 class m caps the admissible levels k.  Without m the set may be infinite,
 so callers must then supply an explicit level cap.
 
+With m, the kernel of (., g) is sliced once more along (., m): its last
+basis vector c_m pairs with m to d2 > 0 and the others are orthogonal to
+both g and m.  The outermost descent coordinate b then fixes
+(x, m) = (k/d)(u, m) + b*d2, so the half-space (rho, m) <= 0 is the single
+range bound b <= floor(-(k/d)(u, m) / d2) and the part of each ellipsoid
+beyond it is never walked.
+
 All arithmetic in the enumerator is exact; the brute-force oracle uses
 vectorized int64 scans guarded against overflow.
 """
@@ -15,11 +22,9 @@ vectorized int64 scans guarded against overflow.
 from __future__ import annotations
 
 import itertools
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 
 import numpy as np
 
@@ -93,19 +98,6 @@ def _target_groups(targets) -> dict[int, frozenset[int]]:
     return {s: frozenset(d) for s, d in groups.items()}
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("HYPERWALL_THREADS", "").strip()
-    if not raw:
-        return 1
-    try:
-        n = int(raw)
-    except ValueError as exc:
-        raise ValueError("HYPERWALL_THREADS must be a positive integer") from exc
-    if n < 1:
-        raise ValueError("HYPERWALL_THREADS must be a positive integer")
-    return n
-
-
 def level_bound(picard: PicardLattice, g, m, square: int) -> int:
     """Largest level k = (rho, g) a wall with (rho, m) <= 0 can reach.
 
@@ -137,18 +129,43 @@ def _exact_quadratic_roots(center: Fraction, value: Fraction) -> list[int]:
     return out[:1] if root == 0 else out
 
 
+def _dot(a, b) -> int:
+    return sum(x * y for x, y in zip(a, b))
+
+
+def _combine(coeffs, rows) -> list[int]:
+    """The integer combination sum_j coeffs[j] * rows[j]."""
+    return [sum(c * row[a] for c, row in zip(coeffs, rows)) for a in range(len(rows[0]))]
+
+
 class _SliceContext:
-    """Shared slice data for a fixed (picard, g).
+    """Shared slice data for a fixed (picard, g), optionally sliced along m.
 
     An integral change of basis splits Z^r as Z*u + kernel with
     (x, g) = d on u and 0 on the kernel; the negated kernel Gram is
     positive definite and its LDL data drives the ellipsoid walks.
+
+    With m given (and not proportional to g), the kernel is reordered as
+    [basis of g-perp meet m-perp ..., c_m] with (c_m, m) = m_step > 0, so the
+    outermost descent coordinate alone carries (x, m) beyond the constant
+    part (k/d)(u, m), and solutions() clips it to the half-space
+    (x, m) <= 0.  That coordinate is not clipped when it is also the
+    innermost one (rank 2), so callers still filter on (x, m).
     """
 
-    def __init__(self, picard: PicardLattice, g):
+    def __init__(self, picard: PicardLattice, g, m=None):
         self.picard = picard
         w = picard.gram_times(g)
         self.d, self.u, self.kernel = linear_form_basis(w)
+        self.m_step = self.u_m = 0
+        if m is not None:
+            wm = picard.gram_times(m)
+            restricted = [_dot(b, wm) for b in self.kernel]
+            # m proportional to g leaves (., m) zero on the kernel: no slice
+            if any(restricted):
+                self.m_step, c_m, rest = linear_form_basis(restricted)
+                self.kernel = [_combine(c, self.kernel) for c in rest + [c_m]]
+                self.u_m = _dot(self.u, wm)
         nk = len(self.kernel)
         neg_gram = [
             [-picard.pair(self.kernel[i], self.kernel[j]) for j in range(nk)]
@@ -170,7 +187,11 @@ class _SliceContext:
         )
 
     def solutions(self, k: int, square: int) -> list[tuple[int, ...]]:
-        """All Picard vectors x with (x, g) = k and (x, x) = square."""
+        """All Picard vectors x with (x, g) = k and (x, x) = square.
+
+        A context built with m leaves out vectors with (x, m) > 0 wherever
+        it can clip (see the class docstring).
+        """
         if k % self.d:
             return []
         scale = k // self.d
@@ -182,6 +203,8 @@ class _SliceContext:
         nk = len(self.kernel)
         found: list[tuple[int, ...]] = []
         t = [0] * nk
+        # (x, m) = scale*(u, m) + m_step*t[nk-1] <= 0  <=>  t[nk-1] < top_stop
+        top_stop = (-scale * self.u_m) // self.m_step + 1 if self.m_step else None
 
         def emit() -> None:
             found.append(
@@ -205,7 +228,10 @@ class _SliceContext:
                     t[0] = ti
                     emit()
                 return
-            for ti in integer_interval(center, remaining / self.dvec[i]):
+            span = integer_interval(center, remaining / self.dvec[i])
+            if i == nk - 1 and top_stop is not None:
+                span = range(span.start, min(span.stop, top_stop))
+            for ti in span:
                 t[i] = ti
                 descend(i - 1, remaining - self.dvec[i] * (ti - center) ** 2)
 
@@ -228,13 +254,14 @@ def slice_solutions(picard: PicardLattice, g, k: int, square: int) -> list[tuple
 def enumerate_walls(query: WallQuery) -> list[WallClass]:
     """Exactly the oriented wall classes matching the query, sorted.
 
-    Output is complete, duplicate-free and sorted lexicographically by
-    Picard coordinates.  When m is absent a level_cap is required, and the
-    result is then complete up to (rho, g) <= level_cap.
+    Output is complete, duplicate-free, holds only primitive classes and
+    is sorted lexicographically by Picard coordinates.  When m is absent a
+    level_cap is required, and the result is then complete up to
+    (rho, g) <= level_cap.
     """
     _validate_query(query)
     picard = query.picard
-    ctx = _SliceContext(picard, query.g)
+    ctx = _SliceContext(picard, query.g, query.m)
     groups = _target_groups(query.targets)
     walls: list[WallClass] = []
     for square in sorted(groups):
@@ -250,27 +277,15 @@ def enumerate_walls(query: WallQuery) -> list[WallClass]:
                 "the wall set is only finite against a second positive class: "
                 "supply m or an explicit level_cap"
             )
-
-        def scan(k: int, square=square, divs=divs) -> list[WallClass]:
-            out = []
+        for k in range(1, kmax + 1):
             for x in ctx.solutions(k, square):
+                # the context's clip misses rank 2 and m proportional to g
                 if query.m is not None and picard.pair(x, query.m) > 0:
                     continue
                 ambient = picard.to_ambient(x)
                 div = picard.ambient.divisibility(ambient)
-                if div in divs:
-                    out.append(WallClass(x, ambient, square, div))
-            return out
-
-        levels = range(1, kmax + 1)
-        threads = _thread_count()
-        if threads > 1 and kmax > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                chunks = list(pool.map(scan, levels))
-        else:
-            chunks = [scan(k) for k in levels]
-        for chunk in chunks:
-            walls.extend(chunk)
+                if div in divs and gcd(*ambient) == 1:
+                    walls.append(WallClass(x, ambient, square, div))
     walls.sort(key=lambda wall: wall.rho_picard)
     return walls
 
@@ -335,8 +350,9 @@ def brute_force_walls(query: WallQuery, box: int) -> list[WallClass]:
     """Testing oracle: the same wall filter by exhaustive coordinate scan.
 
     Scans Picard coordinates in [-box, box]^rank and applies exactly the
-    predicates of enumerate_walls.  Large grids go through a vectorized
-    int64 path; an overflow guard falls back to pure Python.
+    predicates of enumerate_walls, primitivity included.  Large grids go
+    through a vectorized int64 path; an overflow guard falls back to pure
+    Python.
     """
     _validate_query(query)
     if box <= 0:
@@ -359,7 +375,7 @@ def brute_force_walls(query: WallQuery, box: int) -> list[WallClass]:
         ambient = picard.to_ambient(x)
         div = picard.ambient.divisibility(ambient)
         square = picard.square(x)
-        if div in groups[square]:
+        if div in groups[square] and gcd(*ambient) == 1:
             walls.append(WallClass(tuple(x), ambient, square, div))
     walls.sort(key=lambda wall: wall.rho_picard)
     return walls

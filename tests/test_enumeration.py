@@ -1,4 +1,5 @@
 import random
+from math import gcd
 
 import pytest
 
@@ -14,6 +15,7 @@ from hyperwall import (
     slice_solutions,
     vector_from_labels,
 )
+from hyperwall.enumeration import DEFAULT_TARGETS, _SliceContext
 from lattice_fixtures import (
     DELTA,
     FIXTURE_G,
@@ -142,19 +144,6 @@ class TestEnumerateWalls:
         assert first == second
         assert wall_keys(first) == sorted(wall_keys(first))
 
-    def test_thread_env_does_not_change_result(self, monkeypatch):
-        pic = picard_rank3_diag()
-        q = WallQuery(pic, (2, -1, 1), m=(3, -1, 1))
-        serial = enumerate_walls(q)
-        monkeypatch.setenv("HYPERWALL_THREADS", "3")
-        assert enumerate_walls(q) == serial
-
-    def test_bad_thread_env_rejected(self, monkeypatch):
-        monkeypatch.setenv("HYPERWALL_THREADS", "many")
-        q = WallQuery(rank2_picard(), FIXTURE_G, m=(1, 0))
-        with pytest.raises(ValueError):
-            enumerate_walls(q)
-
     def test_level_cap_with_m_restricts(self):
         pic = rank2_picard()
         q_all = WallQuery(pic, FIXTURE_G, targets=((-10, 2),), level_cap=60)
@@ -162,6 +151,62 @@ class TestEnumerateWalls:
         assert wall_keys(enumerate_walls(q_all)) == [(2, -3), (2, 3)]
         # (2,-3) has level 6, (2,3) has level 18
         assert wall_keys(enumerate_walls(q_capped)) == [(2, -3)]
+
+
+def ladder_picard(rank):
+    """L(r) = span(e1+2f1, delta, E8a_1 .. E8a_{r-2})."""
+    basis = [vector_from_labels({"e1": 1, "f1": 2}), DELTA]
+    basis += [basis_vector(f"E8a_{i}") for i in range(1, rank - 1)]
+    return PicardLattice(basis)
+
+
+class TestHalfSpacePruning:
+    def test_pruned_walls_equal_filtered_full_slices(self):
+        rng = random.Random(20240607)
+        signs = set()
+        for rank in (2, 3, 4, 5):
+            for _ in range(4):
+                pic = random_hyperbolic_picard(rng, rank)
+                g, m = random_polarized_pair(rng, pic)
+                pruned = _SliceContext(pic, g, m)
+                full = _SliceContext(pic, g)
+                signs.add((pruned.u_m > 0) - (pruned.u_m < 0))
+                expected = []
+                for square, div in DEFAULT_TARGETS:
+                    for k in range(1, level_bound(pic, g, m, square) + 1):
+                        whole = full.solutions(k, square)
+                        kept = [x for x in whole if pic.pair(x, m) <= 0]
+                        got = pruned.solutions(k, square)
+                        assert set(got) <= set(whole)
+                        assert [x for x in got if pic.pair(x, m) <= 0] == kept
+                        for x in kept:
+                            ambient = pic.to_ambient(x)
+                            if divisibility(ambient) == div and gcd(*ambient) == 1:
+                                expected.append(x)
+                assert wall_keys(enumerate_walls(WallQuery(pic, g, m=m))) == sorted(expected)
+        assert {-1, 1} <= signs, "both signs of (u, m) must be exercised"
+
+    @pytest.mark.parametrize("factor", [1, 2])
+    def test_m_proportional_to_g_has_no_walls(self, factor):
+        for pic, g in ((picard_rank3_diag(), (2, -1, 1)), (ladder_picard(4), (3, 0, 0, 0))):
+            m = tuple(factor * c for c in g)
+            assert _SliceContext(pic, g, m).m_step == 0
+            assert enumerate_walls(WallQuery(pic, g, m=m)) == []
+
+    @pytest.mark.parametrize("rank,count", [(5, 9), (6, 21), (7, 41)])
+    def test_ladder_wall_counts(self, rank, count):
+        g = (3,) + (0,) * (rank - 1)
+        m = (3, 4) + (0,) * (rank - 2)
+        assert len(enumerate_walls(WallQuery(ladder_picard(rank), g, m=m))) == count
+
+
+class TestPrimitivity:
+    def test_non_primitive_target_class_is_not_a_wall(self):
+        # 2*E8a_1 has square -8 and divisibility 2 but is not primitive
+        pic = PicardLattice([H, basis_vector("E8a_1")])
+        q = WallQuery(pic, FIXTURE_G, targets=((-8, 2),), level_cap=20)
+        assert enumerate_walls(q) == []
+        assert brute_force_walls(q, 10) == []
 
 
 class TestQueryValidation:
