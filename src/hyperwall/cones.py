@@ -17,8 +17,10 @@ from .enumeration import (
     DEFAULT_TARGETS,
     WallClass,
     WallQuery,
+    _collect_walls,
     _SliceContext,
     _target_groups,
+    _validate_targets,
     enumerate_walls,
 )
 from .lattice import (
@@ -128,7 +130,7 @@ def validate_polarization(picard: PicardLattice, g, targets=DEFAULT_TARGETS) -> 
     ctx = _SliceContext(picard, coords)
     for square, divs in _target_groups(targets).items():
         for x in ctx.solutions(0, square):
-            div = picard.ambient.divisibility(picard.to_ambient(x))
+            div = picard.ambient._divisibility(picard._to_ambient(x))
             if div in divs:
                 raise PreconditionError(
                     f"g is not ample: it is orthogonal to the wall {x} "
@@ -163,27 +165,21 @@ def is_ample(picard: PicardLattice, g, m, targets=DEFAULT_TARGETS) -> AmpleVerdi
     if mm < 0 or mg <= 0:
         return AmpleVerdict(AmpleStatus.NOT_POSITIVE, (), False)
     if mm == 0:
+        # WallQuery demands (m, m) > 0; the isotropic m still slices the
+        # descent, so the walls are collected directly under their caps.
+        _validate_targets(targets)
         gg = picard.square(gcoords)
-        witnesses = []
-        for square, divs in sorted(_target_groups(targets).items()):
+        groups = _target_groups(targets)
+        caps = {}
+        for square in sorted(groups):
             cap = _isotropic_level_cap(square, mg, gg)
-            if cap < 1:
-                continue
-            sub = WallQuery(
-                picard,
-                gcoords,
-                m=None,
-                targets=tuple((square, d) for d in sorted(divs)),
-                level_cap=cap,
-            )
-            for wall in enumerate_walls(sub):
-                if picard.pair(wall.rho_picard, coords) <= 0:
-                    witnesses.append(wall)
-        witnesses.sort(key=lambda wall: wall.rho_picard)
+            if cap >= 1:
+                caps[square] = cap
+        witnesses = _collect_walls(picard, gcoords, coords, groups, caps) if caps else []
     else:
         query = WallQuery(picard, gcoords, m=coords, targets=tuple(targets))
         witnesses = enumerate_walls(query)
-    if any(picard.pair(w.rho_picard, coords) < 0 for w in witnesses):
+    if any(picard._pair(w.rho_picard, coords) < 0 for w in witnesses):
         return AmpleVerdict(AmpleStatus.NOT_NEF, tuple(witnesses), False)
     if witnesses:
         return AmpleVerdict(AmpleStatus.NEF_BOUNDARY, tuple(witnesses), mm == 0)
@@ -215,8 +211,8 @@ def nef_threshold(
         return Fraction(1), ()
     crossings = []
     for wall in walls:
-        pg = picard.pair(wall.rho_picard, gcoords)
-        pm = picard.pair(wall.rho_picard, coords)
+        pg = picard._pair(wall.rho_picard, gcoords)
+        pm = picard._pair(wall.rho_picard, coords)
         crossings.append((Fraction(pg, pg - pm), wall))
     tau = min(t for t, _ in crossings)
     achieving = tuple(w for t, w in crossings if t == tau)

@@ -15,8 +15,9 @@ both g and m.  The outermost descent coordinate b then fixes
 range bound b <= floor(-(k/d)(u, m) / d2) and the part of each ellipsoid
 beyond it is never walked.
 
-All arithmetic in the enumerator is exact; the brute-force oracle uses
-vectorized int64 scans guarded against overflow.
+All arithmetic in the enumerator is exact, and the descent itself uses
+integers only; the brute-force oracle uses vectorized int64 scans guarded
+against overflow, and only it needs numpy.
 """
 
 from __future__ import annotations
@@ -24,9 +25,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt
-
-import numpy as np
+from math import gcd, isqrt, lcm
 
 from .lattice import PicardLattice
 from .rational_linalg import (
@@ -80,15 +79,19 @@ def _validate_query(q: WallQuery) -> None:
             raise ValueError("m must lie in the positive cone: (m, m) > 0 required")
         if pic.pair(q.m, q.g) <= 0:
             raise ValueError("m must lie in the same component of the positive cone as g")
-    if not q.targets:
+    _validate_targets(q.targets)
+    if q.level_cap is not None and q.level_cap < 0:
+        raise ValueError("level_cap must be nonnegative")
+
+
+def _validate_targets(targets) -> None:
+    if not targets:
         raise ValueError("at least one (square, div) target is required")
-    for square, div in q.targets:
+    for square, div in targets:
         if square >= 0:
             raise ValueError("wall targets must have negative square")
         if div not in (1, 2):
             raise ValueError("wall divisibility targets must be 1 or 2")
-    if q.level_cap is not None and q.level_cap < 0:
-        raise ValueError("level_cap must be nonnegative")
 
 
 def _target_groups(targets) -> dict[int, frozenset[int]]:
@@ -113,22 +116,6 @@ def level_bound(picard: PicardLattice, g, m, square: int) -> int:
     return isqrt(num // w)
 
 
-def _exact_quadratic_roots(center: Fraction, value: Fraction) -> list[int]:
-    """Integers t with (t - center)^2 == value, exactly."""
-    if value < 0:
-        return []
-    num, den = value.numerator, value.denominator
-    rn, rd = isqrt(num), isqrt(den)
-    if rn * rn != num or rd * rd != den:
-        return []
-    root = Fraction(rn, rd)
-    out = []
-    for cand in (center + root, center - root):
-        if cand.denominator == 1:
-            out.append(int(cand))
-    return out[:1] if root == 0 else out
-
-
 def _dot(a, b) -> int:
     return sum(x * y for x, y in zip(a, b))
 
@@ -151,6 +138,16 @@ class _SliceContext:
     part (k/d)(u, m), and solutions() clips it to the half-space
     (x, m) <= 0.  That coordinate is not clipped when it is also the
     innermost one (rank 2), so callers still filter on (x, m).
+
+    The descent itself runs in integers only (Fincke-Pohst with cleared
+    denominators).  On the slice (x, g) = k = scale*d, writing
+    x = scale*u + sum_j t_j kernel_j, the condition (x, x) = square reads
+
+        sum_i weights[i] * (t_i*denom - n_i)^2 = scale^2*q_num - square*q_den
+
+    with n_i = offsets[i]*scale + sum_{j>i} steps[i][j]*t_j, so the LDL
+    centre of level i is n_i/denom.  All of these are built once from the
+    rational LDL data; each descent node then costs one isqrt.
     """
 
     def __init__(self, picard: PicardLattice, g, m=None):
@@ -167,24 +164,33 @@ class _SliceContext:
                 self.kernel = [_combine(c, self.kernel) for c in rest + [c_m]]
                 self.u_m = _dot(self.u, wm)
         nk = len(self.kernel)
-        neg_gram = [
-            [-picard.pair(self.kernel[i], self.kernel[j]) for j in range(nk)]
-            for i in range(nk)
-        ]
+        gram_kernel = [picard._gram_times(b) for b in self.kernel]
+        neg_gram = [[-_dot(self.kernel[i], row) for i in range(nk)] for row in gram_kernel]
         try:
-            self.dvec, self.coef = ldl_positive(neg_gram) if nk else ([], [])
+            dvec, coef = ldl_positive(neg_gram) if nk else ([], [])
         except ValueError as exc:
             raise ValueError(
                 "the form restricted to the complement of g is not negative "
                 "definite; Picard data is malformed"
             ) from exc
-        base = [picard.pair(self.u, b) for b in self.kernel]
-        self.p_base = (
-            [Fraction(x) for x in solve_exact(neg_gram, base)] if nk else []
+        base = [_dot(self.u, row) for row in gram_kernel]
+        p_base = solve_exact(neg_gram, base) if nk else []
+        q_base = picard._pair(self.u, self.u) + sum(
+            (b * p for b, p in zip(base, p_base)), Fraction(0)
         )
-        self.q_base = Fraction(picard.square(self.u)) + sum(
-            (b * p for b, p in zip(base, self.p_base)), Fraction(0)
-        )
+        # centre of level i at t = 0, per unit of scale
+        centre = [
+            p_base[i] + sum((coef[i][j] * p_base[j] for j in range(i + 1, nk)), Fraction(0))
+            for i in range(nk)
+        ]
+        denom = lcm(*(c.denominator for c in centre + [x for row in coef for x in row]))
+        weight_den = lcm(*(x.denominator for x in dvec + [q_base]))
+        self.denom = denom
+        self.offsets = [int(c * denom) for c in centre]
+        self.steps = [[-int(coef[i][j] * denom) for j in range(nk)] for i in range(nk)]
+        self.weights = [int(di * weight_den) for di in dvec]
+        self.q_den = weight_den * denom * denom
+        self.q_num = int(q_base * self.q_den)
 
     def solutions(self, k: int, square: int) -> list[tuple[int, ...]]:
         """All Picard vectors x with (x, g) = k and (x, x) = square.
@@ -195,51 +201,50 @@ class _SliceContext:
         if k % self.d:
             return []
         scale = k // self.d
-        radius = scale * scale * self.q_base - square
-        if radius < 0:
+        budget = scale * scale * self.q_num - square * self.q_den
+        if budget < 0:
             return []
-        shift = [scale * p for p in self.p_base]
         rank = self.picard.rank
         nk = len(self.kernel)
         found: list[tuple[int, ...]] = []
+        if nk == 0:
+            if budget == 0:
+                found.append(tuple(scale * c for c in self.u))
+            return found
+        denom, weights, steps, kernel = self.denom, self.weights, self.steps, self.kernel
+        offsets = [scale * a for a in self.offsets]
         t = [0] * nk
         # (x, m) = scale*(u, m) + m_step*t[nk-1] <= 0  <=>  t[nk-1] < top_stop
         top_stop = (-scale * self.u_m) // self.m_step + 1 if self.m_step else None
 
-        def emit() -> None:
-            found.append(
-                tuple(
-                    scale * self.u[a]
-                    + sum(self.kernel[j][a] * t[j] for j in range(nk))
-                    for a in range(rank)
-                )
-            )
-
-        def descend(i: int, remaining: Fraction) -> None:
-            sigma = sum(
-                (self.coef[i][j] * (t[j] - shift[j]) for j in range(i + 1, nk)),
-                Fraction(0),
-            )
-            center = shift[i] - sigma
+        def descend(i: int, remaining: int) -> None:
+            row = steps[i]
+            n = offsets[i] + sum(row[j] * t[j] for j in range(i + 1, nk))
+            weight = weights[i]
             if i == 0:
                 # innermost level: the budget must be consumed exactly, so
                 # solve for t instead of walking the interval
-                for ti in _exact_quadratic_roots(center, remaining / self.dvec[0]):
-                    t[0] = ti
-                    emit()
+                q, r = divmod(remaining, weight)
+                s = isqrt(q)
+                if r or s * s != q:
+                    return
+                for v in (n + s, n - s) if s else (n,):
+                    if v % denom == 0:
+                        t[0] = v // denom
+                        found.append(tuple(
+                            scale * self.u[a] + sum(kernel[j][a] * t[j] for j in range(nk))
+                            for a in range(rank)
+                        ))
                 return
-            span = integer_interval(center, remaining / self.dvec[i])
+            span = integer_interval(n, denom, remaining // weight)
             if i == nk - 1 and top_stop is not None:
                 span = range(span.start, min(span.stop, top_stop))
             for ti in span:
                 t[i] = ti
-                descend(i - 1, remaining - self.dvec[i] * (ti - center) ** 2)
+                e = ti * denom - n
+                descend(i - 1, remaining - weight * e * e)
 
-        if nk == 0:
-            if radius == 0:
-                found.append(tuple(scale * self.u[a] for a in range(rank)))
-        else:
-            descend(nk - 1, Fraction(radius))
+        descend(nk - 1, budget)
         found.sort()
         return found
 
@@ -249,6 +254,31 @@ def slice_solutions(picard: PicardLattice, g, k: int, square: int) -> list[tuple
     if k < 1:
         raise ValueError("slice level k must be at least 1")
     return _SliceContext(picard, tuple(g)).solutions(k, square)
+
+
+def _collect_walls(picard: PicardLattice, g, m, groups, caps) -> list[WallClass]:
+    """Primitive walls with (rho, m) <= 0, sorted, for already checked input.
+
+    caps maps each target square to its largest level (rho, g); groups
+    maps it to the admissible divisibilities.  m needs no positive square
+    here, only (m, g) > 0, so an isotropic m slices the descent as well.
+    """
+    ctx = _SliceContext(picard, g, m)
+    wm = picard._gram_times(m) if m is not None else None
+    walls: list[WallClass] = []
+    for square, kmax in caps.items():
+        divs = groups[square]
+        for k in range(1, kmax + 1):
+            for x in ctx.solutions(k, square):
+                # the context's clip misses rank 2 and m proportional to g
+                if wm is not None and _dot(x, wm) > 0:
+                    continue
+                ambient = picard._to_ambient(x)
+                div = picard.ambient._divisibility(ambient)
+                if div in divs and gcd(*ambient) == 1:
+                    walls.append(WallClass(x, ambient, square, div))
+    walls.sort(key=lambda wall: wall.rho_picard)
+    return walls
 
 
 def enumerate_walls(query: WallQuery) -> list[WallClass]:
@@ -261,11 +291,9 @@ def enumerate_walls(query: WallQuery) -> list[WallClass]:
     """
     _validate_query(query)
     picard = query.picard
-    ctx = _SliceContext(picard, query.g, query.m)
     groups = _target_groups(query.targets)
-    walls: list[WallClass] = []
+    caps = {}
     for square in sorted(groups):
-        divs = groups[square]
         if query.m is not None:
             kmax = level_bound(picard, query.g, query.m, square)
             if query.level_cap is not None:
@@ -277,17 +305,8 @@ def enumerate_walls(query: WallQuery) -> list[WallClass]:
                 "the wall set is only finite against a second positive class: "
                 "supply m or an explicit level_cap"
             )
-        for k in range(1, kmax + 1):
-            for x in ctx.solutions(k, square):
-                # the context's clip misses rank 2 and m proportional to g
-                if query.m is not None and picard.pair(x, query.m) > 0:
-                    continue
-                ambient = picard.to_ambient(x)
-                div = picard.ambient.divisibility(ambient)
-                if div in divs and gcd(*ambient) == 1:
-                    walls.append(WallClass(x, ambient, square, div))
-    walls.sort(key=lambda wall: wall.rho_picard)
-    return walls
+        caps[square] = kmax
+    return _collect_walls(picard, query.g, query.m, groups, caps)
 
 
 def _python_scan(picard, g, m, cap, box, squares) -> list[tuple[int, ...]]:
@@ -307,6 +326,8 @@ def _python_scan(picard, g, m, cap, box, squares) -> list[tuple[int, ...]]:
 
 
 def _numpy_scan(gram, g, m, cap, box, squares) -> list[tuple[int, ...]]:
+    import numpy as np  # the oracle alone needs numpy; keep it out of startup
+
     rank = len(gram)
     side = 2 * box + 1
     trail = rank

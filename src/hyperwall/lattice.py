@@ -18,7 +18,7 @@ from .rational_linalg import (
     check_symmetric,
     determinant,
     inertia,
-    rank_of,
+    saturation_index,
     solve_exact,
 )
 
@@ -89,17 +89,20 @@ class AmbientLattice:
 
     def gram_times(self, v) -> tuple[int, ...]:
         """Pairings of v with every basis vector."""
-        vv = _as_vector(v, self.rank)
+        return self._gram_times(_as_vector(v, self.rank))
+
+    def _gram_times(self, v) -> tuple[int, ...]:
         return tuple(
-            sum(val * vv[j] for j, val in row) for row in self._nonzero_rows
+            sum(val * v[j] for j, val in row) for row in self._nonzero_rows
         )
 
     def divisibility(self, v) -> int:
         """Positive generator of the ideal (v, Lambda) of pairings."""
-        pairings = self.gram_times(v)
-        d = 0
-        for x in pairings:
-            d = math.gcd(d, x)
+        return self._divisibility(_as_vector(v, self.rank))
+
+    def _divisibility(self, v) -> int:
+        """divisibility() for an integer tuple of the right length."""
+        d = math.gcd(*self._gram_times(v))
         if d == 0:
             raise ValueError("divisibility of the zero vector is undefined")
         return d
@@ -203,7 +206,13 @@ class PicardLattice:
     """A sublattice of divisor classes embedded in the ambient lattice.
 
     Vectors handed to the methods are in Picard coordinates with respect to
-    the stored basis; the basis itself is a tuple of ambient vectors.
+    the stored basis; the basis itself is a tuple of ambient vectors, and it
+    must span a saturated sublattice: divisibility and the wall set are
+    only meaningful in the lattice the basis really spans.
+
+    The underscored methods skip validation; they are for callers inside
+    the package that pass integer tuples of the right length they built
+    themselves.
     """
 
     def __init__(self, basis: Iterable[Sequence[int]], ambient: AmbientLattice = K3_2_LATTICE):
@@ -211,8 +220,14 @@ class PicardLattice:
         self.basis = tuple(_as_vector(b, ambient.rank) for b in basis)
         if not self.basis:
             raise ValueError("Picard basis must be nonempty")
-        if rank_of(self.basis) != len(self.basis):
+        index = saturation_index(self.basis)
+        if index == 0:
             raise ValueError("Picard basis vectors are linearly dependent")
+        if index != 1:
+            raise ValueError(
+                f"Picard basis spans a sublattice of index {index} in its "
+                "saturation; supply a basis of the saturated lattice"
+            )
         self.gram = tuple(
             tuple(ambient.pair(x, y) for y in self.basis) for x in self.basis
         )
@@ -222,27 +237,33 @@ class PicardLattice:
         return len(self.basis)
 
     def pair(self, x, y) -> int:
-        vx = _as_vector(x, self.rank)
-        vy = _as_vector(y, self.rank)
+        return self._pair(_as_vector(x, self.rank), _as_vector(y, self.rank))
+
+    def _pair(self, x, y) -> int:
         return sum(
-            vx[i] * sum(self.gram[i][j] * vy[j] for j in range(self.rank) if vy[j])
+            x[i] * sum(self.gram[i][j] * y[j] for j in range(self.rank) if y[j])
             for i in range(self.rank)
-            if vx[i]
+            if x[i]
         )
 
     def square(self, x) -> int:
-        return self.pair(x, x)
+        vx = _as_vector(x, self.rank)
+        return self._pair(vx, vx)
 
     def gram_times(self, x) -> tuple[int, ...]:
-        vx = _as_vector(x, self.rank)
+        return self._gram_times(_as_vector(x, self.rank))
+
+    def _gram_times(self, x) -> tuple[int, ...]:
         return tuple(
-            sum(row[j] * vx[j] for j in range(self.rank)) for row in self.gram
+            sum(row[j] * x[j] for j in range(self.rank)) for row in self.gram
         )
 
     def to_ambient(self, x) -> tuple[int, ...]:
-        vx = _as_vector(x, self.rank)
+        return self._to_ambient(_as_vector(x, self.rank))
+
+    def _to_ambient(self, x) -> tuple[int, ...]:
         out = [0] * self.ambient.rank
-        for c, b in zip(vx, self.basis):
+        for c, b in zip(x, self.basis):
             if c:
                 for i, bi in enumerate(b):
                     if bi:

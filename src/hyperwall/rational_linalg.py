@@ -211,18 +211,46 @@ def ldl_positive(mat) -> tuple[list[Fraction], list[list[Fraction]]]:
     return d, coef
 
 
-def integer_interval(center: Fraction, radius_sq: Fraction) -> range:
-    """All integers t with (t - center)^2 <= radius_sq, as a range.
+def integer_interval(numer: int, denom: int, bound: int) -> range:
+    """All integers t with (t*denom - numer)^2 <= bound, as a range.
 
-    Solved entirely in integers: with center = p/q the condition reads
-    (t*q - p)^2 <= radius_sq * q^2, and the integer square root of the
-    floor of the right side gives exact endpoints.
+    This is the rational condition (t - numer/denom)^2 <= bound/denom^2
+    with every denominator cleared, so the integer square root of bound
+    gives exact endpoints.  denom must be positive.
     """
-    if radius_sq < 0:
+    if bound < 0:
         return range(0)
-    p, q = center.numerator, center.denominator
-    bound = radius_sq * q * q
-    s = isqrt(bound.numerator // bound.denominator)
-    lo = -((s - p) // q)
-    hi = (p + s) // q
-    return range(lo, hi + 1)
+    s = isqrt(bound)
+    return range(-((s - numer) // denom), (numer + s) // denom + 1)
+
+
+def saturation_index(rows) -> int:
+    """Index of the span of the integer rows in its saturation.
+
+    This is the product of the elementary divisors of the row matrix (the
+    gcd of its maximal minors): 1 exactly when the rows span a saturated
+    sublattice, 0 when they are linearly dependent.  Euclid's algorithm on
+    columns, as in linear_form_basis, makes the matrix lower triangular
+    by unimodular column operations, which keep that gcd.
+    """
+    work = [[int(x) for x in row] for row in rows]
+    ncols = len(work[0]) if work else 0
+    index = 1
+    for i, row in enumerate(work):
+        while True:
+            nz = [j for j in range(i, ncols) if row[j]]
+            if not nz:
+                return 0
+            if len(nz) == 1:
+                break
+            jmin = min(nz, key=lambda j: abs(row[j]))
+            for j in nz:
+                q = row[j] // row[jmin]
+                if j != jmin and q:
+                    for r in work[i:]:
+                        r[j] -= q * r[jmin]
+        jpiv = nz[0]
+        for r in work[i:]:
+            r[i], r[jpiv] = r[jpiv], r[i]
+        index *= abs(row[i])
+    return index

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import hyperwall
 from hyperwall.cli import main
 from lattice_fixtures import DELTA, H
 
@@ -258,6 +263,21 @@ class TestInputValidation:
         assert code == 2
         assert "dependent" in err
 
+    def test_non_saturated_basis_rejected(self, capsys, tmp_path):
+        h = [1, 2] + [0] * 21
+        e = [0] * 6 + [1] + [0] * 16
+        doc = {
+            "picard_basis": [[x + y for x, y in zip(h, e)], [x - y for x, y in zip(h, e)]],
+            "g": [2, 1],
+            "m": [3, 7],
+        }
+        path = tmp_path / "nonsat.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "ample", "--input", str(path))
+        assert code == 2
+        assert out == ""
+        assert "index 2" in err
+
     def test_integer_strings_accepted(self, capsys, tmp_path):
         doc = {
             "picard_basis": RANK2_DOC["picard_basis"],
@@ -316,3 +336,15 @@ class TestRoundTrip:
         code, out2, _ = run(capsys, "nef-threshold", "--input", str(echoed), "--format", "json")
         assert code == 0
         assert json.loads(out2) == report
+
+
+class TestStartup:
+    def test_import_does_not_load_numpy(self):
+        # numpy serves only the brute-force test oracle
+        src = str(Path(hyperwall.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=src)
+        code = "import sys, hyperwall, hyperwall.cli; print('numpy' in sys.modules)"
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert done.stdout.strip() == "False"

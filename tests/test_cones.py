@@ -131,6 +131,44 @@ class TestIsAmple:
         assert verdict.status is AmpleStatus.NOT_NEF
         assert got == expected and expected
 
+    def test_rank_five_isotropic_matches_filtered_full_walls(self):
+        # the isotropic branch slices the descent along m; it must return
+        # exactly the capped m-free walls filtered by (rho, m) <= 0
+        from hyperwall import WallQuery, enumerate_walls
+        from hyperwall.cones import _isotropic_level_cap
+        from hyperwall.enumeration import DEFAULT_TARGETS
+
+        basis = [vector_from_labels({"e1": 1, "f1": 2}), DELTA]
+        basis += [basis_vector(f"E8a_{i}") for i in (1, 2, 3)]
+        pic = PicardLattice(basis)
+        g, m = (16, 4, -5, -4, 4), (1, 1, 1, 0, 0)
+        assert pic.square(m) == 0
+        expected = []
+        for square in (-2, -10):
+            cap = _isotropic_level_cap(square, pic.pair(m, g), pic.square(g))
+            targets = tuple(t for t in DEFAULT_TARGETS if t[0] == square)
+            walls = enumerate_walls(WallQuery(pic, g, targets=targets, level_cap=cap))
+            expected += [w for w in walls if pic.pair(w.rho_picard, m) <= 0]
+        expected.sort(key=lambda w: w.rho_picard)
+        verdict = is_ample(pic, g, m)
+        assert verdict.status is AmpleStatus.NOT_NEF
+        assert len(verdict.witnesses) == 20
+        assert list(verdict.witnesses) == expected
+
+    def test_non_saturated_basis_is_rejected_not_called_ample(self):
+        # span(h+E, h-E) has index 2; on it these classes once read as
+        # proven ample, while the saturated span(h, E) has the wall -E
+        h = vector_from_labels({"e1": 1, "f1": 2})
+        e = basis_vector("E8a_1")
+        plus = tuple(x + y for x, y in zip(h, e))
+        minus = tuple(x - y for x, y in zip(h, e))
+        with pytest.raises(ValueError, match="index 2"):
+            PicardLattice([plus, minus])
+        # g = 2(h+E) + (h-E) and m = 3(h+E) + 7(h-E) in the basis (h, E)
+        verdict = is_ample(PicardLattice([h, e]), (3, 1), (10, -4))
+        assert verdict.status is AmpleStatus.NOT_NEF
+        assert [w.rho_picard for w in verdict.witnesses] == [(0, -1)]  # -E
+
     def test_ample_stable_toward_interior(self):
         pic = rank2_picard()
         m = (11, -2)  # the segment class at t = 1/4, known ample

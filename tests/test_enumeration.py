@@ -1,5 +1,6 @@
 import random
-from math import gcd
+from fractions import Fraction
+from math import floor, gcd, isqrt
 
 import pytest
 
@@ -16,6 +17,7 @@ from hyperwall import (
     vector_from_labels,
 )
 from hyperwall.enumeration import DEFAULT_TARGETS, _SliceContext
+from hyperwall.rational_linalg import solve_exact
 from lattice_fixtures import (
     DELTA,
     FIXTURE_G,
@@ -198,6 +200,88 @@ class TestHalfSpacePruning:
         g = (3,) + (0,) * (rank - 1)
         m = (3, 4) + (0,) * (rank - 2)
         assert len(enumerate_walls(WallQuery(ladder_picard(rank), g, m=m))) == count
+
+
+def covering_box(pic, g, level, square):
+    """A coordinate box holding every x with 1 <= (x, g) <= level and
+    (x, x) >= square, from the positive definite form
+    Q(x) = 2 (x, g)^2 / (g, g) - (x, x), which is at most the bound R below."""
+    rank = pic.rank
+    w = pic.gram_times(g)
+    gg = pic.square(g)
+    form = [[Fraction(2 * w[i] * w[j], gg) - pic.gram[i][j] for j in range(rank)] for i in range(rank)]
+    bound = Fraction(2 * level * level, gg) - square
+    box = 0
+    for i in range(rank):
+        inverse_col = solve_exact(form, [int(i == j) for j in range(rank)])
+        box = max(box, isqrt(floor(bound * inverse_col[i])))
+    return box
+
+
+def oracle_box(query):
+    levels = {
+        square: query.level_cap if query.m is None else level_bound(query.picard, query.g, query.m, square)
+        for square, _ in query.targets
+    }
+    return max(covering_box(query.picard, query.g, k, s) for s, k in levels.items()) + 1
+
+
+class TestIntegerKernel:
+    """Every branch of the scaled-integer descent against the oracle."""
+
+    def check_slices(self, pic, g, m=None, levels=range(0, 13), squares=(-2, -4, -10)):
+        ctx = _SliceContext(pic, g, m)
+        for k in levels:
+            for square in squares:
+                for x in ctx.solutions(k, square):
+                    assert pic.pair(x, g) == k
+                    assert pic.square(x) == square
+        return ctx
+
+    def test_rank_one_has_empty_kernel(self):
+        pic = PicardLattice([H])
+        ctx = self.check_slices(pic, (1,), squares=(2, 8, -2))
+        assert ctx.kernel == []
+        assert slice_solutions(pic, (1,), 2, 2) == [(1,)]
+        assert slice_solutions(pic, (1,), 2, 8) == []
+        assert slice_solutions(pic, (1,), 3, 2) == []
+        q = WallQuery(pic, (1,), targets=((-2, 1), (-2, 2)), level_cap=10)
+        assert enumerate_walls(q) == brute_force_walls(q, 12) == []
+
+    def test_rank_two_exact_root_branch(self):
+        rng = random.Random(7)
+        for _ in range(6):
+            pic = random_hyperbolic_picard(rng, 2)
+            g, m = random_polarized_pair(rng, pic)
+            assert len(self.check_slices(pic, g, m).kernel) == 1
+            for query in (WallQuery(pic, g, m=m), WallQuery(pic, g, level_cap=30)):
+                assert enumerate_walls(query) == brute_force_walls(query, oracle_box(query))
+
+    def test_m_proportional_to_g(self):
+        pic = picard_rank3_diag()
+        g = (2, -1, 1)
+        ctx = self.check_slices(pic, g, tuple(3 * c for c in g))
+        assert ctx.m_step == 0
+        query = WallQuery(pic, g, m=tuple(3 * c for c in g))
+        assert enumerate_walls(query) == brute_force_walls(query, oracle_box(query)) == []
+
+    def test_skewed_rank_five_polarization(self):
+        pic = ladder_picard(5)
+        g, m = (40, 13, -7, 11, 5), (3, 4, 0, 0, 0)
+        ctx = self.check_slices(pic, g, m, levels=range(0, 200, 7))
+        assert ctx.denom > 10**9  # the kernel basis has large LDL denominators
+        for query in (WallQuery(pic, g, m=m), WallQuery(pic, g, level_cap=40)):
+            walls = enumerate_walls(query)
+            assert walls
+            assert walls == brute_force_walls(query, oracle_box(query))
+
+    def test_slices_hold_their_equations(self):
+        rng = random.Random(11)
+        for rank in (2, 3, 4, 5):
+            pic = random_hyperbolic_picard(rng, rank)
+            g, m = random_polarized_pair(rng, pic)
+            self.check_slices(pic, g)
+            self.check_slices(pic, g, m)
 
 
 class TestPrimitivity:

@@ -243,6 +243,31 @@ class TestPicardLattice:
         with pytest.raises(ValueError):
             PicardLattice([H, tuple(2 * x for x in H)])
 
+    def test_non_saturated_basis_rejected(self):
+        # span(h+E, h-E) has index 2 in span(h, E), which is saturated
+        h = vector_from_labels({"e1": 1, "f1": 2})
+        e = basis_vector("E8a_1")
+        plus = tuple(x + y for x, y in zip(h, e))
+        minus = tuple(x - y for x, y in zip(h, e))
+        with pytest.raises(ValueError, match="index 2"):
+            PicardLattice([plus, minus])
+        with pytest.raises(ValueError, match="index 3"):
+            PicardLattice([h, tuple(3 * x for x in e)])
+        assert PicardLattice([plus, e]).rank == 2
+
+    def test_unchecked_methods_agree_with_public_ones(self):
+        pic = PicardLattice([H, DELTA, basis_vector("E8a_1")])
+        rng = random.Random(5)
+        for _ in range(20):
+            x = tuple(rng.randint(-5, 5) for _ in range(3))
+            y = tuple(rng.randint(-5, 5) for _ in range(3))
+            assert pic._pair(x, y) == pic.pair(x, y)
+            assert pic._gram_times(x) == pic.gram_times(x)
+            assert pic._to_ambient(x) == pic.to_ambient(x)
+            if any(x):
+                amb = pic.to_ambient(x)
+                assert pic.ambient._divisibility(amb) == divisibility(amb)
+
     def test_empty_basis_rejected(self):
         with pytest.raises(ValueError):
             PicardLattice([])

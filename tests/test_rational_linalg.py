@@ -1,5 +1,7 @@
+import itertools
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -10,6 +12,7 @@ from hyperwall.rational_linalg import (
     ldl_positive,
     linear_form_basis,
     rank_of,
+    saturation_index,
     solve_exact,
 )
 from lattice_fixtures import cofactor_det
@@ -176,15 +179,39 @@ class TestLdl:
 
 class TestIntegerInterval:
     def test_matches_direct_scan(self):
+        # the rational interval (t - p/q)^2 <= a/b, stated with cleared
+        # denominators as (t*q - p)^2 <= floor(a*q^2 / b)
         rng = random.Random(29)
         for _ in range(300):
-            center = Fraction(rng.randint(-40, 40), rng.randint(1, 7))
-            radius_sq = Fraction(rng.randint(-5, 900), rng.randint(1, 5))
-            got = list(integer_interval(center, radius_sq))
+            p, q = rng.randint(-40, 40), rng.randint(1, 7)
+            a, b = rng.randint(-5, 900), rng.randint(1, 5)
+            got = list(integer_interval(p, q, a * q * q // b))
+            center, radius_sq = Fraction(p, q), Fraction(a, b)
             expected = [
                 t for t in range(-120, 121) if (t - center) ** 2 <= radius_sq
             ]
             assert got == expected
 
     def test_negative_radius_is_empty(self):
-        assert list(integer_interval(Fraction(1, 2), Fraction(-1))) == []
+        assert list(integer_interval(1, 2, -1)) == []
+
+
+class TestSaturationIndex:
+    def test_matches_gcd_of_maximal_minors(self):
+        rng = random.Random(31)
+        for _ in range(200):
+            rows = rng.randint(1, 3)
+            cols = rng.randint(rows, 5)
+            mat = [[rng.randint(-4, 4) for _ in range(cols)] for _ in range(rows)]
+            expected = 0
+            for chosen in itertools.combinations(range(cols), rows):
+                minor = [[row[j] for j in chosen] for row in mat]
+                expected = gcd(expected, cofactor_det(minor))
+            assert saturation_index(mat) == expected
+
+    def test_examples(self):
+        assert saturation_index([[1, 0, 0], [0, 1, 0]]) == 1
+        assert saturation_index([[1, 1, 0], [1, -1, 0]]) == 2
+        assert saturation_index([[2, 4, 6]]) == 2
+        assert saturation_index([[1, 2], [2, 4]]) == 0
+        assert saturation_index([[1, 0], [0, 1], [1, 1]]) == 0
