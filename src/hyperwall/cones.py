@@ -27,6 +27,7 @@ from .lattice import (
     AMBIENT_RANK,
     PicardLattice,
     _as_vector,
+    _require_primitive,
     admissible_square_div,
     bb_pair,
     divisibility,
@@ -98,11 +99,12 @@ def classify_square_div(square: int, div: int) -> RayType:
 
 
 def classify_wall(rho) -> RayType:
-    """Classify an ambient wall vector by its square and divisibility."""
+    """Classify a primitive ambient wall vector by its square and divisibility."""
     v = _as_vector(rho, AMBIENT_RANK)
     square = bb_pair(v, v)
     if square >= 0:
         raise ValueError("wall classes have negative square")
+    _require_primitive(v)
     return classify_square_div(square, divisibility(v))
 
 
@@ -130,8 +132,8 @@ def validate_polarization(picard: PicardLattice, g, targets=DEFAULT_TARGETS) -> 
     ctx = _SliceContext(picard, coords)
     for square, divs in _target_groups(targets).items():
         for x in ctx.solutions(0, square):
-            div = picard.ambient._divisibility(picard._to_ambient(x))
-            if div in divs:
+            div = picard._divisibility(x)
+            if div in divs and math.gcd(*x) == 1:
                 raise PreconditionError(
                     f"g is not ample: it is orthogonal to the wall {x} "
                     f"(square {square}, divisibility {div})"

@@ -26,6 +26,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt, lcm
+from operator import mul
 
 from .lattice import PicardLattice
 from .rational_linalg import (
@@ -143,11 +144,14 @@ class _SliceContext:
     denominators).  On the slice (x, g) = k = scale*d, writing
     x = scale*u + sum_j t_j kernel_j, the condition (x, x) = square reads
 
-        sum_i weights[i] * (t_i*denom - n_i)^2 = scale^2*q_num - square*q_den
+        sum_i weights[i] * (t_i*denoms[i] - n_i)^2 = scale^2*q_num - square*q_den
 
-    with n_i = offsets[i]*scale + sum_{j>i} steps[i][j]*t_j, so the LDL
-    centre of level i is n_i/denom.  All of these are built once from the
-    rational LDL data; each descent node then costs one isqrt.
+    with n_i = centre_rows[i] . (t_0, ..., t_{nk-1}, scale), so the LDL
+    centre of level i is n_i/denoms[i].  Each level has its own
+    denominator, the smallest that makes its centre integral; one common
+    factor q_den then clears the weights d_i/denoms[i]^2 and the radius.
+    All of these are built once from the rational LDL data; each descent
+    node then costs one isqrt.
     """
 
     def __init__(self, picard: PicardLattice, g, m=None):
@@ -183,14 +187,21 @@ class _SliceContext:
             p_base[i] + sum((coef[i][j] * p_base[j] for j in range(i + 1, nk)), Fraction(0))
             for i in range(nk)
         ]
-        denom = lcm(*(c.denominator for c in centre + [x for row in coef for x in row]))
-        weight_den = lcm(*(x.denominator for x in dvec + [q_base]))
-        self.denom = denom
-        self.offsets = [int(c * denom) for c in centre]
-        self.steps = [[-int(coef[i][j] * denom) for j in range(nk)] for i in range(nk)]
-        self.weights = [int(di * weight_den) for di in dvec]
-        self.q_den = weight_den * denom * denom
+        self.denoms = [
+            lcm(centre[i].denominator, *(x.denominator for x in coef[i][i + 1:]))
+            for i in range(nk)
+        ]
+        level_weights = [di / (den * den) for di, den in zip(dvec, self.denoms)]
+        self.q_den = lcm(*(x.denominator for x in level_weights + [q_base]))
+        self.weights = [int(x * self.q_den) for x in level_weights]
         self.q_num = int(q_base * self.q_den)
+        # coef is strictly upper triangular, so row i reads only t_j, j > i
+        self.centre_rows = [
+            [-int(coef[i][j] * den) for j in range(nk)] + [int(centre[i] * den)]
+            for i, den in enumerate(self.denoms)
+        ]
+        # x = columns . (t_0, ..., t_{nk-1}, scale), one column per coordinate
+        self.columns = [list(col) for col in zip(*self.kernel, self.u)]
 
     def solutions(self, k: int, square: int) -> list[tuple[int, ...]]:
         """All Picard vectors x with (x, g) = k and (x, x) = square.
@@ -204,47 +215,53 @@ class _SliceContext:
         budget = scale * scale * self.q_num - square * self.q_den
         if budget < 0:
             return []
-        rank = self.picard.rank
         nk = len(self.kernel)
-        found: list[tuple[int, ...]] = []
         if nk == 0:
-            if budget == 0:
-                found.append(tuple(scale * c for c in self.u))
-            return found
-        denom, weights, steps, kernel = self.denom, self.weights, self.steps, self.kernel
-        offsets = [scale * a for a in self.offsets]
-        t = [0] * nk
-        # (x, m) = scale*(u, m) + m_step*t[nk-1] <= 0  <=>  t[nk-1] < top_stop
+            return [tuple(scale * c for c in self.u)] if budget == 0 else []
+        denoms, weights, rows, columns = self.denoms, self.weights, self.centre_rows, self.columns
+        found: list[tuple[int, ...]] = []
+        top = nk - 1
+        # (x, m) = scale*(u, m) + m_step*t[top] <= 0  <=>  t[top] < top_stop
         top_stop = (-scale * self.u_m) // self.m_step + 1 if self.m_step else None
-
-        def descend(i: int, remaining: int) -> None:
-            row = steps[i]
-            n = offsets[i] + sum(row[j] * t[j] for j in range(i + 1, nk))
-            weight = weights[i]
-            if i == 0:
+        # Flat Fincke-Pohst walk, outermost level first.  Level i keeps its
+        # centre numerator, the budget it was entered with and its range end;
+        # t[nk] = scale, so rows[i] . t is the centre numerator of level i.
+        t = [0] * nk + [scale]
+        centres = [0] * nk
+        entered = [0] * nk
+        stops = [0] * nk
+        i, remaining = top, budget
+        while True:
+            n = sum(map(mul, rows[i], t))
+            if i:
+                span = integer_interval(n, denoms[i], remaining // weights[i])
+                stop = span.stop
+                if i == top and top_stop is not None and top_stop < stop:
+                    stop = top_stop
+                centres[i], entered[i], stops[i], t[i] = n, remaining, stop, span.start - 1
+            else:
                 # innermost level: the budget must be consumed exactly, so
-                # solve for t instead of walking the interval
-                q, r = divmod(remaining, weight)
+                # solve for t[0] instead of walking the interval
+                q, r = divmod(remaining, weights[0])
                 s = isqrt(q)
-                if r or s * s != q:
-                    return
-                for v in (n + s, n - s) if s else (n,):
-                    if v % denom == 0:
-                        t[0] = v // denom
-                        found.append(tuple(
-                            scale * self.u[a] + sum(kernel[j][a] * t[j] for j in range(nk))
-                            for a in range(rank)
-                        ))
-                return
-            span = integer_interval(n, denom, remaining // weight)
-            if i == nk - 1 and top_stop is not None:
-                span = range(span.start, min(span.stop, top_stop))
-            for ti in span:
-                t[i] = ti
-                e = ti * denom - n
-                descend(i - 1, remaining - weight * e * e)
-
-        descend(nk - 1, budget)
+                if not r and s * s == q:
+                    den = denoms[0]
+                    for v in (n + s, n - s) if s else (n,):
+                        if v % den == 0:
+                            t[0] = v // den
+                            found.append(tuple(sum(map(mul, col, t)) for col in columns))
+                i = 1
+            # the next t at the innermost level that has one left
+            while i < nk:
+                t[i] += 1
+                if t[i] < stops[i]:
+                    break
+                i += 1
+            else:
+                break
+            e = t[i] * denoms[i] - centres[i]
+            remaining = entered[i] - weights[i] * e * e
+            i -= 1
         found.sort()
         return found
 
@@ -273,10 +290,9 @@ def _collect_walls(picard: PicardLattice, g, m, groups, caps) -> list[WallClass]
                 # the context's clip misses rank 2 and m proportional to g
                 if wm is not None and _dot(x, wm) > 0:
                     continue
-                ambient = picard._to_ambient(x)
-                div = picard.ambient._divisibility(ambient)
-                if div in divs and gcd(*ambient) == 1:
-                    walls.append(WallClass(x, ambient, square, div))
+                div = picard._divisibility(x)
+                if div in divs and gcd(*x) == 1:
+                    walls.append(WallClass(x, picard._to_ambient(x), square, div))
     walls.sort(key=lambda wall: wall.rho_picard)
     return walls
 

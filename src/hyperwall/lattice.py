@@ -12,10 +12,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from operator import mul
 from typing import Iterable, Sequence
 
 from .rational_linalg import (
     check_symmetric,
+    column_reduce,
     determinant,
     inertia,
     saturation_index,
@@ -185,15 +188,21 @@ class CurveClass:
 
 
 def dual_class(rho) -> CurveClass:
-    """The curve class dual to a wall vector.
+    """The curve class rho / div dual to a primitive wall vector.
 
-    The denominator is the divisibility clamped to {1, 2}: the discriminant
-    group has order 2, so primitive vectors never exceed divisibility 2.
+    The denominator is the divisibility, which is 1 or 2: the discriminant
+    group has order 2.  A non-primitive vector is rejected.
     """
     v = _as_vector(rho, AMBIENT_RANK)
     div = divisibility(v)
-    den = min(div, 2)
-    return CurveClass(v, den, Fraction(bb_pair(v, v), den * den))
+    _require_primitive(v)
+    return CurveClass(v, div, Fraction(bb_pair(v, v), div * div))
+
+
+def _require_primitive(v) -> None:
+    content = math.gcd(*v)
+    if content != 1:
+        raise ValueError(f"the vector is not primitive: its entries have gcd {content}")
 
 
 def signature_of(gram) -> tuple[int, int, int]:
@@ -212,7 +221,8 @@ class PicardLattice:
 
     The underscored methods skip validation; they are for callers inside
     the package that pass integer tuples of the right length they built
-    themselves.
+    themselves.  Because the basis is saturated, x is primitive in the
+    ambient lattice exactly when gcd(*x) == 1.
     """
 
     def __init__(self, basis: Iterable[Sequence[int]], ambient: AmbientLattice = K3_2_LATTICE):
@@ -269,6 +279,22 @@ class PicardLattice:
                     if bi:
                         out[i] += c * bi
         return tuple(out)
+
+    def _divisibility(self, x) -> int:
+        """Ambient divisibility of the nonzero Picard vector x.
+
+        It is the gcd of x against the columns of the r x 23 matrix of
+        ambient pairings of the basis (r the rank), and so against any r
+        integer forms that span those columns; x never leaves Picard
+        coordinates.
+        """
+        return math.gcd(*[sum(map(mul, form, x)) for form in self._divisibility_forms])
+
+    @cached_property
+    def _divisibility_forms(self) -> list[list[int]]:
+        # built on first use, so lattices that never filter walls skip it
+        reduced = column_reduce([self.ambient._gram_times(b) for b in self.basis])
+        return [[row[c] for row in reduced] for c in range(self.rank)]
 
     def from_ambient(self, v) -> tuple[Fraction, ...] | None:
         """Rational Picard coordinates of an ambient vector, or None."""

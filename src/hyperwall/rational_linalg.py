@@ -224,23 +224,21 @@ def integer_interval(numer: int, denom: int, bound: int) -> range:
     return range(-((s - numer) // denom), (numer + s) // denom + 1)
 
 
-def saturation_index(rows) -> int:
-    """Index of the span of the integer rows in its saturation.
+def column_reduce(rows) -> list[list[int]] | None:
+    """The integer rows after unimodular column operations, lower triangular.
 
-    This is the product of the elementary divisors of the row matrix (the
-    gcd of its maximal minors): 1 exactly when the rows span a saturated
-    sublattice, 0 when they are linearly dependent.  Euclid's algorithm on
-    columns, as in linear_form_basis, makes the matrix lower triangular
-    by unimodular column operations, which keep that gcd.
+    Euclid's algorithm on columns, as in linear_form_basis, leaves row i
+    nonzero only in columns 0..i, so every column past len(rows) is zero
+    and the first len(rows) columns span the same lattice as the original
+    columns.  Returns None when the rows are linearly dependent.
     """
     work = [[int(x) for x in row] for row in rows]
     ncols = len(work[0]) if work else 0
-    index = 1
     for i, row in enumerate(work):
         while True:
             nz = [j for j in range(i, ncols) if row[j]]
             if not nz:
-                return 0
+                return None
             if len(nz) == 1:
                 break
             jmin = min(nz, key=lambda j: abs(row[j]))
@@ -252,5 +250,22 @@ def saturation_index(rows) -> int:
         jpiv = nz[0]
         for r in work[i:]:
             r[i], r[jpiv] = r[jpiv], r[i]
+    return work
+
+
+def saturation_index(rows) -> int:
+    """Index of the span of the integer rows in its saturation.
+
+    This is the product of the elementary divisors of the row matrix (the
+    gcd of its maximal minors): 1 exactly when the rows span a saturated
+    sublattice, 0 when they are linearly dependent.  column_reduce keeps
+    that gcd and makes the matrix lower triangular, so it is the product
+    of the diagonal.
+    """
+    work = column_reduce(rows)
+    if work is None:
+        return 0
+    index = 1
+    for i, row in enumerate(work):
         index *= abs(row[i])
     return index

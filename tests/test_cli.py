@@ -193,6 +193,13 @@ class TestClassify:
         assert code == 2
         assert "23" in err
 
+    def test_non_primitive_rejected(self, capsys, rank2_file):
+        rho = ",".join(str(3 * x) for x in DELTA)
+        code, out, err = run(capsys, "classify", "--input", rank2_file, "--rho", rho)
+        assert code == 2
+        assert out == ""
+        assert "gcd 3" in err
+
     def test_nonnegative_square_rejected(self, capsys, rank2_file):
         rho = ",".join(str(x) for x in H)
         code, _, err = run(capsys, "classify", "--input", rank2_file, "--rho", rho)

@@ -37,6 +37,12 @@ class TestValidatePolarization:
         with pytest.raises(PreconditionError):
             validate_polarization(rank2_picard(), (0, 1))
 
+    def test_non_primitive_class_is_no_wall(self):
+        # g = h is orthogonal to 2*E8a_1 (square -8, divisibility 2), which
+        # is not primitive and so not a wall of the (-8, 2) target
+        pic = PicardLattice([H, basis_vector("E8a_1")])
+        validate_polarization(pic, (1, 0), targets=((-8, 2),))
+
     def test_polarization_orthogonal_to_plane_wall_rejected(self):
         # (3h + 2delta, 2h + 3delta) = 12 - 12 = 0
         with pytest.raises(PreconditionError, match="orthogonal"):
@@ -262,6 +268,10 @@ class TestClassification:
         for v in (DELTA, LAMBDA_PLANE, vector_from_labels({"e1": 1, "delta": 1})):
             flipped = tuple(-x for x in v)
             assert classify_wall(v) == classify_wall(flipped)
+
+    def test_non_primitive_rejected(self):
+        with pytest.raises(ValueError, match="gcd 2"):
+            classify_wall(tuple(2 * x for x in LAMBDA_PLANE))
 
     def test_nonnegative_square_rejected(self):
         with pytest.raises(ValueError):

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import floor, gcd, isqrt
+from math import floor, gcd, isqrt, lcm
 
 import pytest
 
@@ -257,6 +257,18 @@ class TestIntegerKernel:
             for query in (WallQuery(pic, g, m=m), WallQuery(pic, g, level_cap=30)):
                 assert enumerate_walls(query) == brute_force_walls(query, oracle_box(query))
 
+    def test_rank_three_clipped_level_is_the_last_walked(self):
+        # nk = 2: level 1 is both the clipped outermost level and the only
+        # level walked above the exact-root level 0
+        rng = random.Random(23)
+        for _ in range(6):
+            pic = random_hyperbolic_picard(rng, 3)
+            g, m = random_polarized_pair(rng, pic)
+            ctx = self.check_slices(pic, g, m)
+            assert len(ctx.kernel) == 2 and ctx.m_step > 0
+            for query in (WallQuery(pic, g, m=m), WallQuery(pic, g, level_cap=20)):
+                assert enumerate_walls(query) == brute_force_walls(query, oracle_box(query))
+
     def test_m_proportional_to_g(self):
         pic = picard_rank3_diag()
         g = (2, -1, 1)
@@ -268,8 +280,10 @@ class TestIntegerKernel:
     def test_skewed_rank_five_polarization(self):
         pic = ladder_picard(5)
         g, m = (40, 13, -7, 11, 5), (3, 4, 0, 0, 0)
+        self.check_slices(pic, g, levels=range(0, 200, 7))
         ctx = self.check_slices(pic, g, m, levels=range(0, 200, 7))
-        assert ctx.denom > 10**9  # the kernel basis has large LDL denominators
+        assert len(ctx.kernel) == 4
+        assert lcm(*ctx.denoms) > 10**9  # the kernel basis has large LDL denominators
         for query in (WallQuery(pic, g, m=m), WallQuery(pic, g, level_cap=40)):
             walls = enumerate_walls(query)
             assert walls

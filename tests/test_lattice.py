@@ -169,6 +169,11 @@ class TestDualClass:
         with pytest.raises(ValueError):
             dual_class((0,) * 23)
 
+    def test_non_primitive_rejected(self):
+        # 3*delta has divisibility 6; no clamp may turn it into a curve class
+        with pytest.raises(ValueError, match="gcd 3"):
+            dual_class(tuple(3 * x for x in DELTA))
+
     def test_square_times_div_squared(self):
         rng = random.Random(31)
         checked = 0
