@@ -48,8 +48,9 @@ def _as_int(value, where: str) -> int:
         return value
     if isinstance(value, str):
         text = value.strip()
-        sign = text[1:] if text.startswith("-") else text
-        if sign.isdigit():
+        digits = text[1:] if text.startswith("-") else text
+        # str.isdigit alone also takes superscripts and non-ASCII digits
+        if digits.isascii() and digits.isdigit():
             return int(text)
         raise InputError(f"{where}: {value!r} is not a decimal integer string")
     raise InputError(f"{where}: expected an integer, got {type(value).__name__}")
@@ -152,10 +153,7 @@ def _targets_flag(text: str) -> tuple[tuple[int, int], ...]:
         parts = chunk.strip().split(":")
         if len(parts) != 2:
             raise InputError(f"--targets: expected square:div pairs, got {chunk!r}")
-        try:
-            out.append((int(parts[0]), int(parts[1])))
-        except ValueError as exc:
-            raise InputError(f"--targets: {chunk!r} is not an integer pair") from exc
+        out.append((_as_int(parts[0], "--targets"), _as_int(parts[1], "--targets")))
     if not out:
         raise InputError("--targets: at least one square:div pair is required")
     return tuple(out)
@@ -265,10 +263,7 @@ def cmd_nef_threshold(args) -> dict:
 
 def cmd_classify(args) -> dict:
     doc = load_input_document(args.input)
-    try:
-        rho = tuple(int(x) for x in args.rho.split(","))
-    except ValueError as exc:
-        raise InputError("--rho: expected 23 comma-separated integers") from exc
+    rho = tuple(_as_int(x, f"--rho[{i}]") for i, x in enumerate(args.rho.split(",")))
     if len(rho) != AMBIENT_RANK:
         raise InputError(f"--rho: expected {AMBIENT_RANK} entries, got {len(rho)}")
     try:

@@ -122,8 +122,10 @@ def validate_polarization(picard: PicardLattice, g, targets=DEFAULT_TARGETS) -> 
 
     g must have positive square and may not be orthogonal to any wall
     class; the orthogonal walls are exactly the level-zero slice of each
-    target, which is a finite negative definite problem.
+    target, which is a finite negative definite problem.  The targets are
+    checked first, so bad targets raise ValueError before any verdict.
     """
+    _validate_targets(targets)
     if not picard.is_hyperbolic():
         raise ValueError("Picard lattice must have signature (1, rank-1)")
     coords = tuple(g)
@@ -169,7 +171,6 @@ def is_ample(picard: PicardLattice, g, m, targets=DEFAULT_TARGETS) -> AmpleVerdi
     if mm == 0:
         # WallQuery demands (m, m) > 0; the isotropic m still slices the
         # descent, so the walls are collected directly under their caps.
-        _validate_targets(targets)
         gg = picard.square(gcoords)
         groups = _target_groups(targets)
         caps = {}

@@ -15,6 +15,10 @@ both g and m.  The outermost descent coordinate b then fixes
 range bound b <= floor(-(k/d)(u, m) / d2) and the part of each ellipsoid
 beyond it is never walked.
 
+The kernel basis from Euclid column operations can be badly skewed, so it
+is LLL-reduced first (all of it without m, all but c_m with m), which keeps
+the Fincke-Pohst tree small.
+
 All arithmetic in the enumerator is exact, and the descent itself uses
 integers only; the brute-force oracle uses vectorized int64 scans guarded
 against overflow, and only it needs numpy.
@@ -31,6 +35,7 @@ from operator import mul
 from .lattice import PicardLattice
 from .rational_linalg import (
     integer_interval,
+    integral_lll,
     ldl_positive,
     linear_form_basis,
     solve_exact,
@@ -131,13 +136,16 @@ class _SliceContext:
 
     An integral change of basis splits Z^r as Z*u + kernel with
     (x, g) = d on u and 0 on the kernel; the negated kernel Gram is
-    positive definite and its LDL data drives the ellipsoid walks.
+    positive definite.  The kernel rows are LLL-reduced under it
+    (integral_lll), and its LDL data on the reduced rows drives the
+    ellipsoid walks.
 
     With m given (and not proportional to g), the kernel is reordered as
     [basis of g-perp meet m-perp ..., c_m] with (c_m, m) = m_step > 0, so the
     outermost descent coordinate alone carries (x, m) beyond the constant
     part (k/d)(u, m), and solutions() clips it to the half-space
-    (x, m) <= 0.  That coordinate is not clipped when it is also the
+    (x, m) <= 0.  Only the rows before c_m are reduced; c_m and u stay
+    last and unchanged.  That coordinate is not clipped when it is also the
     innermost one (rank 2), so callers still filter on (x, m).
 
     The descent itself runs in integers only (Fincke-Pohst with cleared
@@ -168,9 +176,15 @@ class _SliceContext:
                 self.kernel = [_combine(c, self.kernel) for c in rest + [c_m]]
                 self.u_m = _dot(self.u, wm)
         nk = len(self.kernel)
-        gram_kernel = [picard._gram_times(b) for b in self.kernel]
-        neg_gram = [[-_dot(self.kernel[i], row) for i in range(nk)] for row in gram_kernel]
+        # c_m stays last and unreduced, so u_m, m_step and the clip hold
+        free = nk - 1 if self.m_step else nk
         try:
+            if free > 1:  # a single row is already reduced
+                self.kernel[:free] = integral_lll(
+                    [[-e for e in row] for row in picard.gram], self.kernel[:free]
+                )
+            gram_kernel = [picard._gram_times(b) for b in self.kernel]
+            neg_gram = [[-_dot(self.kernel[i], row) for i in range(nk)] for row in gram_kernel]
             dvec, coef = ldl_positive(neg_gram) if nk else ([], [])
         except ValueError as exc:
             raise ValueError(

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import isqrt
+from operator import mul
 from typing import Sequence
 
 
@@ -48,25 +49,6 @@ def determinant(mat) -> Fraction:
                 f = a[r][col] * inv
                 a[r] = [x - f * y for x, y in zip(a[r], a[col])]
     return det
-
-
-def rank_of(rows) -> int:
-    """Rank over the rationals of a list of row vectors."""
-    work = [[Fraction(x) for x in row] for row in rows]
-    ncols = len(work[0]) if work else 0
-    rank = 0
-    for col in range(ncols):
-        piv = next((r for r in range(rank, len(work)) if work[r][col] != 0), None)
-        if piv is None:
-            continue
-        work[rank], work[piv] = work[piv], work[rank]
-        inv = 1 / work[rank][col]
-        for r in range(len(work)):
-            if r != rank and work[r][col] != 0:
-                f = work[r][col] * inv
-                work[r] = [x - f * y for x, y in zip(work[r], work[rank])]
-        rank += 1
-    return rank
 
 
 def solve_exact(a_rows, b) -> list[Fraction] | None:
@@ -209,6 +191,82 @@ def ldl_positive(mat) -> tuple[list[Fraction], list[list[Fraction]]]:
                     if k != j:
                         a[k][j] = a[j][k]
     return d, coef
+
+
+def integral_lll(gram, rows) -> list[list[int]]:
+    """LLL-reduced rows spanning the same lattice, under the form gram.
+
+    Cohen, A Course in Computational Algebraic Number Theory, Alg. 2.6.7,
+    with delta = 3/4: unimodular row operations on integer rows, driven by
+    the integral Gram-Schmidt data (the leading minors D_i of the Gram
+    matrix of the rows, and lam[k][j] = D_{j+1} * mu_kj), so every division
+    is exact.  Raises ValueError as soon as the form is not positive
+    definite on the rows: each new minor is checked before any swap, so an
+    indefinite form cannot loop.
+    """
+    n = len(rows)
+    rows = [list(row) for row in rows]
+    minors = [1] + [0] * n
+    lam = [[0] * n for _ in range(n)]
+
+    def gram_schmidt(k):
+        w = [sum(map(mul, form_row, rows[k])) for form_row in gram]
+        lk = lam[k]
+        for j in range(k + 1):
+            v = sum(map(mul, rows[j], w))
+            lj = lam[j]
+            for i in range(j):
+                v = (minors[i + 1] * v - lk[i] * lj[i]) // minors[i]
+            if j < k:
+                lk[j] = v
+            else:
+                minors[k + 1] = v
+        if minors[k + 1] <= 0:
+            raise ValueError("the form is not positive definite on the rows")
+
+    def size_reduce(k, l):
+        lkl, dl = lam[k][l], minors[l + 1]
+        if 2 * abs(lkl) <= dl:
+            return
+        q = (2 * lkl + dl) // (2 * dl)  # nearest integer to lkl / dl
+        rows[k] = [a - q * b for a, b in zip(rows[k], rows[l])]
+        lam[k][l] = lkl - q * dl
+        lk, ll = lam[k], lam[l]
+        for i in range(l):
+            lk[i] -= q * ll[i]
+
+    def swap(k, kmax):
+        rows[k - 1], rows[k] = rows[k], rows[k - 1]
+        lk, lp = lam[k], lam[k - 1]
+        for j in range(k - 1):
+            lk[j], lp[j] = lp[j], lk[j]
+        lkk = lk[k - 1]
+        d_prev, d_k, d_next = minors[k - 1], minors[k], minors[k + 1]
+        b = (d_prev * d_next + lkk * lkk) // d_k
+        for i in range(k + 1, kmax + 1):
+            li = lam[i]
+            t = li[k]
+            li[k] = (d_next * li[k - 1] - lkk * t) // d_k
+            li[k - 1] = (b * t + lkk * li[k]) // d_next
+        minors[k] = b
+
+    if n:
+        gram_schmidt(0)
+    k, kmax = 1, 0
+    while k < n:
+        if k > kmax:
+            kmax = k
+            gram_schmidt(k)
+        size_reduce(k, k - 1)
+        lkk = lam[k][k - 1]
+        if 4 * minors[k + 1] * minors[k - 1] < 3 * minors[k] ** 2 - 4 * lkk * lkk:
+            swap(k, kmax)
+            k = max(1, k - 1)
+        else:
+            for l in range(k - 2, -1, -1):
+                size_reduce(k, l)
+            k += 1
+    return rows
 
 
 def integer_interval(numer: int, denom: int, bound: int) -> range:

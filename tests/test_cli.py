@@ -297,6 +297,40 @@ class TestInputValidation:
         assert code == 0
         assert json.loads(out)["status"] == "not_nef"
 
+    @pytest.mark.parametrize("text", ["\u00b2", "\u0661\u0662", "-\u0663", "\uff17"])
+    def test_non_ascii_digits_rejected(self, capsys, tmp_path, text):
+        # str.isdigit() accepts superscripts and other scripts' digits
+        doc = dict(RANK2_DOC, g=[text, "-1"])
+        path = tmp_path / "digits.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "walls", "--input", str(path))
+        assert code == 2
+        assert out == ""
+        assert "g[0]" in err
+
+    @pytest.mark.parametrize("text", ["\u00b2", "\u0661\u0662", "-\u0663", "\uff17", "1_0"])
+    def test_non_ascii_digits_rejected_in_flags(self, capsys, rank2_file, text):
+        # the flags parse integers like the JSON input does
+        code, out, err = run(
+            capsys, "walls", "--input", rank2_file, f"--targets=-{text}:2", "--format", "json"
+        )
+        assert (code, out) == (2, "")
+        assert "--targets" in err
+        rho = ",".join([text] + [str(x) for x in DELTA[1:]])
+        code, out, err = run(capsys, "classify", "--input", rank2_file, f"--rho={rho}")
+        assert (code, out) == (2, "")
+        assert "--rho[0]" in err
+
+    @pytest.mark.parametrize("command", ["ample", "nef-threshold"])
+    def test_bad_targets_rejected_before_the_verdict(self, capsys, tmp_path, command):
+        doc = dict(RANK2_DOC, m=[0, 1], options={"targets": [[-2, 3]]})
+        path = tmp_path / "targets.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, command, "--input", str(path))
+        assert code == 2
+        assert out == ""
+        assert "target" in err
+
     def test_float_rejected(self, capsys, tmp_path):
         doc = dict(RANK2_DOC, g=[3.5, -1])
         path = tmp_path / "float.json"

@@ -19,6 +19,9 @@ from hyperwall import (
 from lattice_fixtures import DELTA, FIXTURE_G, H, LAMBDA_PLANE, rank2_picard
 
 
+BAD_TARGETS = [((-2, 3),), (), ((2, 1),)]
+
+
 def segment_class(t_num, t_den, m, g):
     """Cleared-denominator class t*m + (1-t)*g for t = t_num/t_den."""
     return tuple(t_num * mi + (t_den - t_num) * gi for mi, gi in zip(m, g))
@@ -42,6 +45,11 @@ class TestValidatePolarization:
         # is not primitive and so not a wall of the (-8, 2) target
         pic = PicardLattice([H, basis_vector("E8a_1")])
         validate_polarization(pic, (1, 0), targets=((-8, 2),))
+
+    @pytest.mark.parametrize("targets", BAD_TARGETS)
+    def test_bad_targets_rejected(self, targets):
+        with pytest.raises(ValueError, match="target"):
+            validate_polarization(rank2_picard(), FIXTURE_G, targets)
 
     def test_polarization_orthogonal_to_plane_wall_rejected(self):
         # (3h + 2delta, 2h + 3delta) = 12 - 12 = 0
@@ -79,6 +87,12 @@ class TestIsAmple:
     def test_bad_polarization_rejected(self):
         with pytest.raises(PreconditionError):
             is_ample(rank2_picard(), (1, 0), (2, 1))
+
+    @pytest.mark.parametrize("targets", BAD_TARGETS)
+    def test_bad_targets_rejected_before_the_verdict(self, targets):
+        # m = delta has negative square, which alone would give not_positive
+        with pytest.raises(ValueError, match="target"):
+            is_ample(rank2_picard(), FIXTURE_G, (0, 1), targets)
 
     def test_isotropic_not_nef(self):
         # (h+delta, delta) = -2 despite (M, M) = 0
@@ -232,6 +246,14 @@ class TestNefThreshold:
     def test_requires_ample_polarization(self):
         with pytest.raises(PreconditionError):
             nef_threshold(rank2_picard(), (1, 0), (2, 1))
+
+    @pytest.mark.parametrize("targets", BAD_TARGETS)
+    def test_bad_targets_are_input_errors(self, targets):
+        # bad targets are a ValueError (CLI exit 2), not a failed
+        # precondition on m (exit 3)
+        with pytest.raises(ValueError, match="target") as info:
+            nef_threshold(rank2_picard(), FIXTURE_G, (0, 1), targets)
+        assert not isinstance(info.value, PreconditionError)
 
 
 class TestClassification:

@@ -16,6 +16,7 @@ from hyperwall import (
     slice_solutions,
     vector_from_labels,
 )
+from hyperwall import enumeration
 from hyperwall.enumeration import DEFAULT_TARGETS, _SliceContext
 from hyperwall.rational_linalg import solve_exact
 from lattice_fixtures import (
@@ -71,6 +72,19 @@ class TestSliceSolutions:
         pic = PicardLattice([H, vector_from_labels({"e2": 1, "f2": 1})])
         with pytest.raises(ValueError):
             slice_solutions(pic, (1, 0), 2, -2)
+
+    def test_indefinite_kernel_past_first_minor_rejected(self):
+        # g = h; the kernel is span(E8a_1, e2+f2) with Gram diag(-2, 2): its
+        # negated first minor 2 is positive, the second -4 is not.  The
+        # reduction must raise, not loop.
+        pic = PicardLattice([H, basis_vector("E8a_1"), vector_from_labels({"e2": 1, "f2": 1})])
+        assert pic.square((1, 0, 0)) > 0
+        for k, square in ((2, -2), (4, -10)):
+            with pytest.raises(ValueError, match="not negative definite"):
+                slice_solutions(pic, (1, 0, 0), k, square)
+        # sliced along m = e2+f2, the indefinite direction is the unreduced c_m
+        with pytest.raises(ValueError, match="not negative definite"):
+            _SliceContext(pic, (1, 0, 0), (0, 0, 1))
 
     def test_matches_direct_scan(self):
         pic = picard_rank3_diag()
@@ -283,7 +297,8 @@ class TestIntegerKernel:
         self.check_slices(pic, g, levels=range(0, 200, 7))
         ctx = self.check_slices(pic, g, m, levels=range(0, 200, 7))
         assert len(ctx.kernel) == 4
-        assert lcm(*ctx.denoms) > 10**9  # the kernel basis has large LDL denominators
+        # c_m and u are not reduced, so the level denominators stay large
+        assert lcm(*ctx.denoms) > 10**9
         for query in (WallQuery(pic, g, m=m), WallQuery(pic, g, level_cap=40)):
             walls = enumerate_walls(query)
             assert walls
@@ -296,6 +311,29 @@ class TestIntegerKernel:
             g, m = random_polarized_pair(rng, pic)
             self.check_slices(pic, g)
             self.check_slices(pic, g, m)
+
+    @pytest.mark.parametrize(
+        "g,m,level_cap,most",
+        [
+            # capped L(5): 7,036 interval calls on the unreduced kernel basis
+            ((16, 4, -5, -4, 4), None, 160, 3518),
+            # skewed g: 2,910 on the unreduced basis
+            ((40, 13, -7, 11, 5), (3, 4, 0, 0, 0), None, 2909),
+        ],
+    )
+    def test_reduced_kernel_descent_node_count(self, monkeypatch, g, m, level_cap, most):
+        calls = 0
+        interval = enumeration.integer_interval
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return interval(*args)
+
+        monkeypatch.setattr(enumeration, "integer_interval", counted)
+        walls = enumerate_walls(WallQuery(ladder_picard(5), g, m=m, level_cap=level_cap))
+        assert walls
+        assert calls <= most
 
 
 class TestPrimitivity:

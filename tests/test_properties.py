@@ -1,4 +1,4 @@
-"""Property tests: Picard-coordinate divisibility and wall-list invariants."""
+"""Property tests: Picard-coordinate divisibility, slice bases and wall-list invariants."""
 
 import random
 from math import gcd
@@ -7,6 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hyperwall import K3_2_LATTICE, PicardLattice, WallQuery, enumerate_walls
+from hyperwall.enumeration import _SliceContext
+from hyperwall.rational_linalg import determinant
 from lattice_fixtures import random_hyperbolic_picard, random_polarized_pair
 
 PROPERTY_SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=100)
@@ -58,6 +60,26 @@ class TestPicardDivisibility:
     def test_primitive_exactly_when_ambient_image_is(self, case):
         pic, x = case
         assert (gcd(*x) == 1) == (gcd(*pic.to_ambient(x)) == 1)
+
+
+class TestSliceBasis:
+    @PROPERTY_SETTINGS
+    @given(st.integers(min_value=2, max_value=5), seeds)
+    def test_reduced_kernel_keeps_the_slicing(self, rank, seed):
+        rng = random.Random(seed)
+        pic = random_hyperbolic_picard(rng, rank)
+        g, m = random_polarized_pair(rng, pic)
+        for ctx in (_SliceContext(pic, g), _SliceContext(pic, g, m)):
+            nk = len(ctx.kernel)
+            assert all(pic.pair(row, g) == 0 for row in ctx.kernel)
+            assert pic.pair(ctx.u, g) == ctx.d
+            assert determinant(ctx.kernel + [ctx.u]) in (1, -1)
+        if not ctx.m_step:  # m proportional to g: no slice along m
+            assert all(pic.pair(row, m) == 0 for row in ctx.kernel)
+            return
+        assert all(pic.pair(row, m) == 0 for row in ctx.kernel[: nk - 1])
+        assert pic.pair(ctx.kernel[-1], m) == ctx.m_step > 0
+        assert pic.pair(ctx.u, m) == ctx.u_m
 
 
 class TestWallInvariants:

@@ -9,13 +9,32 @@ from hyperwall.rational_linalg import (
     determinant,
     inertia,
     integer_interval,
+    integral_lll,
     ldl_positive,
     linear_form_basis,
-    rank_of,
     saturation_index,
     solve_exact,
 )
 from lattice_fixtures import cofactor_det
+
+
+def rank_of(rows) -> int:
+    """Rank over the rationals of a list of row vectors."""
+    work = [[Fraction(x) for x in row] for row in rows]
+    ncols = len(work[0]) if work else 0
+    rank = 0
+    for col in range(ncols):
+        piv = next((r for r in range(rank, len(work)) if work[r][col] != 0), None)
+        if piv is None:
+            continue
+        work[rank], work[piv] = work[piv], work[rank]
+        inv = 1 / work[rank][col]
+        for r in range(len(work)):
+            if r != rank and work[r][col] != 0:
+                f = work[r][col] * inv
+                work[r] = [x - f * y for x, y in zip(work[r], work[rank])]
+        rank += 1
+    return rank
 
 
 def random_matrix(rng, n, lo=-6, hi=6):
@@ -142,6 +161,36 @@ class TestLinearFormBasis:
             linear_form_basis([0, 0])
 
 
+def random_positive_definite(rng, n):
+    """B^T B for a random invertible integer B."""
+    while True:
+        b = random_matrix(rng, n, -4, 4)
+        if determinant(b) != 0:
+            return [[sum(b[k][i] * b[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+
+
+def form(gram, x, y):
+    return sum(x[i] * gram[i][j] * y[j] for i in range(len(x)) for j in range(len(y)))
+
+
+def identity(n):
+    return [[int(i == j) for j in range(n)] for i in range(n)]
+
+
+def gram_schmidt(gram, rows):
+    """(B, mu): squared Gram-Schmidt norms and coefficients, as Fractions."""
+    n = len(rows)
+    star, b, mu = [], [], [[Fraction(0)] * n for _ in range(n)]
+    for k, row in enumerate(rows):
+        v = [Fraction(x) for x in row]
+        for j in range(k):
+            mu[k][j] = form(gram, row, star[j]) / b[j]
+            v = [x - mu[k][j] * y for x, y in zip(v, star[j])]
+        star.append(v)
+        b.append(form(gram, v, v))
+    return b, mu
+
+
 class TestLdl:
     def test_reconstructs_form(self):
         rng = random.Random(17)
@@ -175,6 +224,59 @@ class TestLdl:
             ldl_positive([[1, 0], [0, -1]])
         with pytest.raises(ValueError):
             ldl_positive([[0, 1], [1, 0]])
+
+
+class TestIntegralLll:
+    def test_size_reduced_and_lovasz(self):
+        rng = random.Random(19)
+        for _ in range(40):
+            n = rng.randint(2, 6)
+            gram = random_positive_definite(rng, n)
+            b, mu = gram_schmidt(gram, integral_lll(gram, identity(n)))
+            for k in range(1, n):
+                assert all(2 * abs(mu[k][j]) <= 1 for j in range(k))
+                assert b[k] >= (Fraction(3, 4) - mu[k][k - 1] ** 2) * b[k - 1]
+
+    def test_transform_is_unimodular(self):
+        rng = random.Random(23)
+        for _ in range(40):
+            n = rng.randint(1, 6)
+            gram = random_positive_definite(rng, n)
+            start = random_matrix(rng, n, -5, 5)
+            if determinant(start) == 0:
+                continue
+            rows = integral_lll(gram, start)
+            # rows = T * start for an integral T with det T = +-1
+            assert determinant(rows) in (determinant(start), -determinant(start))
+            transform = [solve_exact([list(c) for c in zip(*start)], row) for row in rows]
+            assert all(c.denominator == 1 for row in transform for c in row)
+
+    def test_fewer_rows_than_the_form(self):
+        # rows of a sublattice: reduced inside their own span
+        rows = integral_lll(identity(4), [[1, 5, 0, 0], [1, 6, 0, 0]])
+        assert sorted(sorted(map(abs, row)) for row in rows) == [[0, 0, 0, 1]] * 2
+        assert integral_lll(identity(2), []) == []
+        assert integral_lll([[3, 1], [1, 2]], [[2, 7]]) == [[2, 7]]
+
+    def test_skewed_basis_gets_shorter(self):
+        # a skewed basis of Z^3 under the standard form
+        rows = integral_lll(identity(3), [[1, 0, 0], [17, 1, 0], [22, -31, 1]])
+        assert sorted(sorted(map(abs, row)) for row in rows) == [[0, 0, 1]] * 3
+
+    def test_rejects_indefinite(self):
+        # a minor is negative: raised before any swap, never looping
+        with pytest.raises(ValueError):
+            integral_lll([[1, 0], [0, -1]], identity(2))
+        with pytest.raises(ValueError):
+            integral_lll([[2, 0, 0], [0, 2, 3], [0, 3, 2]], identity(3))
+        with pytest.raises(ValueError):
+            integral_lll([[0, 1], [1, 0]], identity(2))
+
+    def test_rejects_degenerate(self):
+        with pytest.raises(ValueError):
+            integral_lll([[1, 1], [1, 1]], identity(2))
+        with pytest.raises(ValueError):
+            integral_lll([[2, 0], [0, 1]], [[1, 2], [2, 4]])
 
 
 class TestIntegerInterval:
