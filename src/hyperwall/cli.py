@@ -3,13 +3,15 @@
 Input is a single JSON document; every rational in a report is an exact
 "p/q" string, never a float.  Exit codes: 0 success, 2 validation failure
 (malformed file or arguments), 3 precondition failure (for example a
-polarization that fails its own ampleness test).
+polarization that fails its own ampleness test), 1 when stdout closes before
+the report is written.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -433,10 +435,17 @@ def main(argv=None) -> int:
     except PreconditionError as exc:
         print(f"precondition failed: {exc}", file=sys.stderr)
         return 3
-    if args.format == "json":
-        print(json.dumps(report, indent=2))
-    else:
-        print(_render_text(report))
+    try:
+        if args.format == "json":
+            print(json.dumps(report, indent=2))
+        else:
+            print(_render_text(report))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout early.  Point stdout at devnull so the
+        # flush at interpreter exit cannot fail again, and exit quietly.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     return 0
 
 

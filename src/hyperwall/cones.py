@@ -131,15 +131,17 @@ def validate_polarization(picard: PicardLattice, g, targets=DEFAULT_TARGETS) -> 
     coords = tuple(g)
     if picard.square(coords) <= 0:
         raise PreconditionError("g is not ample: (g, g) <= 0")
-    ctx = _SliceContext(picard, coords)
-    for square, divs in _target_groups(targets).items():
-        for x in ctx.solutions(0, square):
-            div = picard._divisibility(x)
-            if div in divs and math.gcd(*x) == 1:
-                raise PreconditionError(
-                    f"g is not ample: it is orthogonal to the wall {x} "
-                    f"(square {square}, divisibility {div})"
-                )
+    groups = _target_groups(targets)
+    order = list(groups)
+    orthogonal = _SliceContext(picard, coords).solutions(dict.fromkeys(groups, 0), first=0)
+    # report the first wall in target order, as the targets were given
+    for square, x in sorted(orthogonal, key=lambda hit: (order.index(hit[0]), hit[1])):
+        div = picard._divisibility(x)
+        if div in groups[square] and math.gcd(*x) == 1:
+            raise PreconditionError(
+                f"g is not ample: it is orthogonal to the wall {x} "
+                f"(square {square}, divisibility {div})"
+            )
 
 
 def _isotropic_level_cap(square: int, p: int, v: int) -> int:
@@ -173,12 +175,8 @@ def is_ample(picard: PicardLattice, g, m, targets=DEFAULT_TARGETS) -> AmpleVerdi
         # descent, so the walls are collected directly under their caps.
         gg = picard.square(gcoords)
         groups = _target_groups(targets)
-        caps = {}
-        for square in sorted(groups):
-            cap = _isotropic_level_cap(square, mg, gg)
-            if cap >= 1:
-                caps[square] = cap
-        witnesses = _collect_walls(picard, gcoords, coords, groups, caps) if caps else []
+        caps = {square: _isotropic_level_cap(square, mg, gg) for square in groups}
+        witnesses = _collect_walls(picard, gcoords, coords, groups, caps)
     else:
         query = WallQuery(picard, gcoords, m=coords, targets=tuple(targets))
         witnesses = enumerate_walls(query)

@@ -19,6 +19,13 @@ The kernel basis from Euclid column operations can be badly skewed, so it
 is LLL-reduced first (all of it without m, all but c_m with m), which keeps
 the Fincke-Pohst tree small.
 
+A query makes one descent, not one per level and target square.  The slice
+budget grows as the square gets more negative, so the ellipsoid of a less
+negative square lies inside that of a more negative one at the same level.
+Each level is therefore walked once, with the budget of the most negative
+square whose level cap reaches it, and the innermost level tests every such
+square against what is left of that budget.
+
 All arithmetic in the enumerator is exact, and the descent itself uses
 integers only; the brute-force oracle uses vectorized int64 scans guarded
 against overflow, and only it needs numpy.
@@ -160,6 +167,12 @@ class _SliceContext:
     factor q_den then clears the weights d_i/denoms[i]^2 and the radius.
     All of these are built once from the rational LDL data; each descent
     node then costs one isqrt.
+
+    The right-hand side is largest for the most negative square, and a
+    second square s needs (s - s_low)*q_den less of it.  solutions() walks
+    each scale with the largest budget of the squares it asks for there, and
+    at the innermost level it tests every one of them, each with its offset
+    taken off the remaining budget.
     """
 
     def __init__(self, picard: PicardLattice, g, m=None):
@@ -217,65 +230,79 @@ class _SliceContext:
         # x = columns . (t_0, ..., t_{nk-1}, scale), one column per coordinate
         self.columns = [list(col) for col in zip(*self.kernel, self.u)]
 
-    def solutions(self, k: int, square: int) -> list[tuple[int, ...]]:
-        """All Picard vectors x with (x, g) = k and (x, x) = square.
+    def solutions(self, caps, first: int = 1) -> list[tuple[int, tuple[int, ...]]]:
+        """Every (square, x) with (x, x) = square and first <= (x, g) <= caps[square].
 
-        A context built with m leaves out vectors with (x, m) > 0 wherever
-        it can clip (see the class docstring).
+        caps maps each target square to its largest level; the result is
+        sorted.  One call walks each scale (x, g) = scale*d once, with the
+        budget of the most negative square whose cap reaches it, and tests
+        every such square at the innermost level.  A context built with m
+        leaves out vectors with (x, m) > 0 wherever it can clip (see the
+        class docstring).
         """
-        if k % self.d:
-            return []
-        scale = k // self.d
-        budget = scale * scale * self.q_num - square * self.q_den
-        if budget < 0:
-            return []
-        nk = len(self.kernel)
-        if nk == 0:
-            return [tuple(scale * c for c in self.u)] if budget == 0 else []
+        found: list[tuple[int, tuple[int, ...]]] = []
+        if not caps:
+            return found
+        d, nk, q_num, q_den = self.d, len(self.kernel), self.q_num, self.q_den
         denoms, weights, rows, columns = self.denoms, self.weights, self.centre_rows, self.columns
-        found: list[tuple[int, ...]] = []
         top = nk - 1
-        # (x, m) = scale*(u, m) + m_step*t[top] <= 0  <=>  t[top] < top_stop
-        top_stop = (-scale * self.u_m) // self.m_step + 1 if self.m_step else None
         # Flat Fincke-Pohst walk, outermost level first.  Level i keeps its
         # centre numerator, the budget it was entered with and its range end;
         # t[nk] = scale, so rows[i] . t is the centre numerator of level i.
-        t = [0] * nk + [scale]
+        t = [0] * (nk + 1)
         centres = [0] * nk
         entered = [0] * nk
         stops = [0] * nk
-        i, remaining = top, budget
-        while True:
-            n = sum(map(mul, rows[i], t))
-            if i:
-                span = integer_interval(n, denoms[i], remaining // weights[i])
-                stop = span.stop
-                if i == top and top_stop is not None and top_stop < stop:
-                    stop = top_stop
-                centres[i], entered[i], stops[i], t[i] = n, remaining, stop, span.start - 1
-            else:
-                # innermost level: the budget must be consumed exactly, so
-                # solve for t[0] instead of walking the interval
-                q, r = divmod(remaining, weights[0])
-                s = isqrt(q)
-                if not r and s * s == q:
-                    den = denoms[0]
-                    for v in (n + s, n - s) if s else (n,):
-                        if v % den == 0:
-                            t[0] = v // den
-                            found.append(tuple(sum(map(mul, col, t)) for col in columns))
-                i = 1
-            # the next t at the innermost level that has one left
-            while i < nk:
-                t[i] += 1
-                if t[i] < stops[i]:
+        for scale in range(-(-first // d), max(caps.values()) // d + 1):
+            squares = sorted(s for s, cap in caps.items() if cap >= scale * d)
+            low = squares[0]
+            budget = scale * scale * q_num - low * q_den
+            if budget < 0:
+                continue
+            # square s leaves (s - low)*q_den less budget than the lowest one
+            leaves = [(s, (s - low) * q_den) for s in squares]
+            if nk == 0:
+                x = tuple(scale * c for c in self.u)
+                found.extend((s, x) for s, off in leaves if budget == off)
+                continue
+            # (x, m) = scale*(u, m) + m_step*t[top] <= 0  <=>  t[top] < top_stop
+            top_stop = (-scale * self.u_m) // self.m_step + 1 if self.m_step else None
+            t[nk] = scale
+            i, remaining = top, budget
+            while True:
+                if i:
+                    n = sum(map(mul, rows[i], t))
+                    span = integer_interval(n, denoms[i], remaining // weights[i])
+                    stop = span.stop
+                    if i == top and top_stop is not None and top_stop < stop:
+                        stop = top_stop
+                    centres[i], entered[i], stops[i], t[i] = n, remaining, stop, span.start - 1
+                else:
+                    # innermost level: each square's budget must be consumed
+                    # exactly, so solve for t[0] instead of walking the interval
+                    for s, off in leaves:
+                        q, r = divmod(remaining - off, weights[0])
+                        if q < 0:
+                            break
+                        root = isqrt(q)
+                        if not r and root * root == q:
+                            n, den = sum(map(mul, rows[0], t)), denoms[0]
+                            for v in (n + root, n - root) if root else (n,):
+                                if v % den == 0:
+                                    t[0] = v // den
+                                    found.append((s, tuple(sum(map(mul, col, t)) for col in columns)))
+                    i = 1
+                # the next t at the innermost level that has one left
+                while i < nk:
+                    t[i] += 1
+                    if t[i] < stops[i]:
+                        break
+                    i += 1
+                else:
                     break
-                i += 1
-            else:
-                break
-            e = t[i] * denoms[i] - centres[i]
-            remaining = entered[i] - weights[i] * e * e
-            i -= 1
+                e = t[i] * denoms[i] - centres[i]
+                remaining = entered[i] - weights[i] * e * e
+                i -= 1
         found.sort()
         return found
 
@@ -284,7 +311,7 @@ def slice_solutions(picard: PicardLattice, g, k: int, square: int) -> list[tuple
     """Lattice vectors on the affine slice (x, g) = k with the given square."""
     if k < 1:
         raise ValueError("slice level k must be at least 1")
-    return _SliceContext(picard, tuple(g)).solutions(k, square)
+    return [x for _, x in _SliceContext(picard, tuple(g)).solutions({square: k}, first=k)]
 
 
 def _collect_walls(picard: PicardLattice, g, m, groups, caps) -> list[WallClass]:
@@ -294,19 +321,15 @@ def _collect_walls(picard: PicardLattice, g, m, groups, caps) -> list[WallClass]
     maps it to the admissible divisibilities.  m needs no positive square
     here, only (m, g) > 0, so an isotropic m slices the descent as well.
     """
-    ctx = _SliceContext(picard, g, m)
     wm = picard._gram_times(m) if m is not None else None
     walls: list[WallClass] = []
-    for square, kmax in caps.items():
-        divs = groups[square]
-        for k in range(1, kmax + 1):
-            for x in ctx.solutions(k, square):
-                # the context's clip misses rank 2 and m proportional to g
-                if wm is not None and _dot(x, wm) > 0:
-                    continue
-                div = picard._divisibility(x)
-                if div in divs and gcd(*x) == 1:
-                    walls.append(WallClass(x, picard._to_ambient(x), square, div))
+    for square, x in _SliceContext(picard, g, m).solutions(caps):
+        # the context's clip misses rank 2 and m proportional to g
+        if wm is not None and _dot(x, wm) > 0:
+            continue
+        div = picard._divisibility(x)
+        if div in groups[square] and gcd(*x) == 1:
+            walls.append(WallClass(x, picard._to_ambient(x), square, div))
     walls.sort(key=lambda wall: wall.rho_picard)
     return walls
 

@@ -241,6 +241,10 @@ class PicardLattice:
         self.gram = tuple(
             tuple(ambient.pair(x, y) for y in self.basis) for x in self.basis
         )
+        # the nonzero (index, value) pairs of each basis row, for _to_ambient
+        self._nonzero_basis = tuple(
+            tuple((i, bi) for i, bi in enumerate(b) if bi) for b in self.basis
+        )
 
     @property
     def rank(self) -> int:
@@ -273,11 +277,10 @@ class PicardLattice:
 
     def _to_ambient(self, x) -> tuple[int, ...]:
         out = [0] * self.ambient.rank
-        for c, b in zip(x, self.basis):
+        for c, row in zip(x, self._nonzero_basis):
             if c:
-                for i, bi in enumerate(b):
-                    if bi:
-                        out[i] += c * bi
+                for i, bi in row:
+                    out[i] += c * bi
         return tuple(out)
 
     def _divisibility(self, x) -> int:
@@ -304,6 +307,11 @@ class PicardLattice:
         return tuple(sol) if sol is not None else None
 
     def signature(self) -> tuple[int, int, int]:
+        return self._signature
+
+    @cached_property
+    def _signature(self) -> tuple[int, int, int]:
+        # the lattice is immutable, and every query checks it is hyperbolic
         return inertia(self.gram)
 
     def is_hyperbolic(self) -> bool:

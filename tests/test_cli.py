@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import hyperwall
+from hyperwall import basis_vector
 from hyperwall.cli import main
 from lattice_fixtures import DELTA, H
 
@@ -389,3 +390,28 @@ class TestStartup:
             [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
         )
         assert done.stdout.strip() == "False"
+
+
+class TestClosedStdout:
+    def test_reader_closing_early_gets_no_traceback(self, tmp_path):
+        # about 120 kB of JSON: more than a pipe buffer, so the CLI is still
+        # writing when the reader goes away
+        doc = {
+            "picard_basis": [list(H), list(DELTA), list(basis_vector("E8a_1"))],
+            "g": [3, -1, -1],
+            "options": {"level_cap": 120},
+        }
+        path = tmp_path / "many_walls.json"
+        path.write_text(json.dumps(doc))
+        src = str(Path(hyperwall.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "hyperwall.cli", "walls", "--input", str(path), "--format", "json"],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        )
+        assert proc.stdout.read(300)
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 1
+        assert err == ""  # no Traceback, nothing at all

@@ -16,6 +16,7 @@ from hyperwall import (
     validate_polarization,
     vector_from_labels,
 )
+from hyperwall import lattice as lattice_module
 from lattice_fixtures import DELTA, FIXTURE_G, H, LAMBDA_PLANE, rank2_picard
 
 
@@ -56,6 +57,20 @@ class TestValidatePolarization:
         with pytest.raises(PreconditionError, match="orthogonal"):
             validate_polarization(rank2_picard(), (3, 2))
 
+    @pytest.mark.parametrize(
+        "targets,named",
+        [
+            (((-10, 2), (-2, 1)), r"\(0, -1, -2\) \(square -10, divisibility 2\)"),
+            (((-2, 1), (-10, 2)), r"\(0, 0, -1\) \(square -2, divisibility 1\)"),
+        ],
+    )
+    def test_first_orthogonal_wall_follows_target_order(self, targets, named):
+        # g = h is orthogonal to delta + 2 E8a_1 (a (-10, 2) wall) and to
+        # E8a_1 (a (-2, 1) wall); the report names the first target's wall
+        pic = PicardLattice([H, DELTA, basis_vector("E8a_1")])
+        with pytest.raises(PreconditionError, match=named):
+            validate_polarization(pic, (1, 0, 0), targets)
+
 
 class TestIsAmple:
     def test_polarization_itself_is_ample(self):
@@ -69,6 +84,21 @@ class TestIsAmple:
         assert v.status is AmpleStatus.NEF_BOUNDARY
         assert [w.rho_picard for w in v.witnesses] == [(0, 1)]
         assert v.certainty == "conjectural"
+
+    def test_signature_computed_once_per_lattice(self, monkeypatch):
+        calls = 0
+        original = lattice_module.inertia
+
+        def counted(gram):
+            nonlocal calls
+            calls += 1
+            return original(gram)
+
+        monkeypatch.setattr(lattice_module, "inertia", counted)
+        pic = rank2_picard()
+        assert is_ample(pic, FIXTURE_G, (2, 1)).status is AmpleStatus.NOT_NEF
+        assert is_ample(pic, FIXTURE_G, (1, 0)).status is AmpleStatus.NEF_BOUNDARY
+        assert calls == 1
 
     def test_not_nef_with_negative_wall(self):
         v = is_ample(rank2_picard(), FIXTURE_G, (2, 1))

@@ -169,6 +169,11 @@ class TestEnumerateWalls:
         assert wall_keys(enumerate_walls(q_capped)) == [(2, -3)]
 
 
+def one_slice(ctx, k, square):
+    """The one-level, one-square call: vectors with (x, g) = k and (x, x) = square."""
+    return [x for _, x in ctx.solutions({square: k}, first=k)]
+
+
 def ladder_picard(rank):
     """L(r) = span(e1+2f1, delta, E8a_1 .. E8a_{r-2})."""
     basis = [vector_from_labels({"e1": 1, "f1": 2}), DELTA]
@@ -190,9 +195,9 @@ class TestHalfSpacePruning:
                 expected = []
                 for square, div in DEFAULT_TARGETS:
                     for k in range(1, level_bound(pic, g, m, square) + 1):
-                        whole = full.solutions(k, square)
+                        whole = one_slice(full, k, square)
                         kept = [x for x in whole if pic.pair(x, m) <= 0]
-                        got = pruned.solutions(k, square)
+                        got = one_slice(pruned, k, square)
                         assert set(got) <= set(whole)
                         assert [x for x in got if pic.pair(x, m) <= 0] == kept
                         for x in kept:
@@ -247,7 +252,7 @@ class TestIntegerKernel:
         ctx = _SliceContext(pic, g, m)
         for k in levels:
             for square in squares:
-                for x in ctx.solutions(k, square):
+                for x in one_slice(ctx, k, square):
                     assert pic.pair(x, g) == k
                     assert pic.square(x) == square
         return ctx
@@ -319,6 +324,9 @@ class TestIntegerKernel:
             ((16, 4, -5, -4, 4), None, 160, 3518),
             # skewed g: 2,910 on the unreduced basis
             ((40, 13, -7, 11, 5), (3, 4, 0, 0, 0), None, 2909),
+            # capped L(5) again, every level and target square in one walk:
+            # 1,457 calls with one walk per level and square
+            ((16, 4, -5, -4, 4), None, 160, 999),
         ],
     )
     def test_reduced_kernel_descent_node_count(self, monkeypatch, g, m, level_cap, most):

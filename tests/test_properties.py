@@ -1,13 +1,25 @@
 """Property tests: Picard-coordinate divisibility, slice bases and wall-list invariants."""
 
 import random
+from fractions import Fraction
 from math import gcd
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hyperwall import K3_2_LATTICE, PicardLattice, WallQuery, enumerate_walls
-from hyperwall.enumeration import _SliceContext
+from hyperwall import (
+    K3_2_LATTICE,
+    AmpleStatus,
+    PicardLattice,
+    PreconditionError,
+    WallQuery,
+    enumerate_walls,
+    is_ample,
+    level_bound,
+    nef_threshold,
+    validate_polarization,
+)
+from hyperwall.enumeration import DEFAULT_TARGETS, _SliceContext
 from hyperwall.rational_linalg import determinant
 from lattice_fixtures import random_hyperbolic_picard, random_polarized_pair
 
@@ -15,6 +27,8 @@ PROPERTY_SETTINGS = settings(derandomize=True, database=None, deadline=None, max
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 ranks = st.integers(min_value=2, max_value=4)
+# three squares in one walk, each with its own level cap
+MIXED_TARGETS = ((-2, 1), (-6, 2), (-10, 2))
 
 
 def nonzero_vectors(rank):
@@ -109,3 +123,62 @@ class TestWallInvariants:
         g, m = random_polarized_pair(rng, pic)
         walls = set(ambient_walls(pic, g, m))
         assert not any(tuple(-c for c in rho) in walls for rho in walls)
+
+
+class TestSingleWalk:
+    """One solutions() call walks every level and every target square."""
+
+    @PROPERTY_SETTINGS
+    @given(st.data())
+    def test_equals_the_union_of_one_level_calls(self, data):
+        rank = data.draw(st.integers(min_value=2, max_value=5))
+        rng = random.Random(data.draw(seeds))
+        pic = random_hyperbolic_picard(rng, rank)
+        g, m = random_polarized_pair(rng, pic)
+        squares = {s for s, _ in data.draw(st.sampled_from([DEFAULT_TARGETS, MIXED_TARGETS]))}
+        if data.draw(st.booleans()):
+            ctx = _SliceContext(pic, g, m)
+            caps = {s: level_bound(pic, g, m, s) for s in squares}
+        else:
+            ctx = _SliceContext(pic, g)
+            caps = {s: data.draw(st.integers(min_value=0, max_value=12)) for s in squares}
+        first = data.draw(st.integers(min_value=0, max_value=1))
+        expected = sorted(
+            (s, x)
+            for s, cap in caps.items()
+            for k in range(first, cap + 1)
+            for _, x in ctx.solutions({s: k}, first=k)
+        )
+        assert ctx.solutions(caps, first=first) == expected
+
+
+def segment_verdict(pic, g, m, a, b):
+    """is_ample on a*m + b*g, the segment class at t = a/(a+b) up to scale."""
+    return is_ample(pic, g, tuple(a * mi + b * gi for mi, gi in zip(m, g))).status
+
+
+class TestSegmentVerdicts:
+    @PROPERTY_SETTINGS
+    @given(ranks, seeds, st.integers(min_value=1, max_value=6), st.integers(min_value=1, max_value=6))
+    def test_verdict_agrees_with_the_nef_threshold(self, rank, seed, a, b):
+        rng = random.Random(seed)
+        pic = random_hyperbolic_picard(rng, rank)
+        while True:
+            g, m = random_polarized_pair(rng, pic)
+            try:
+                validate_polarization(pic, g)
+            except PreconditionError:
+                continue
+            break
+        tau, _ = nef_threshold(pic, g, m)
+        t = Fraction(a, a + b)
+        if t < tau:
+            expected = AmpleStatus.AMPLE
+        elif t == tau:
+            expected = AmpleStatus.NEF_BOUNDARY
+        else:
+            expected = AmpleStatus.NOT_NEF
+        assert segment_verdict(pic, g, m, a, b) is expected
+        if tau < 1:  # the threshold itself lies on a wall
+            a, b = tau.numerator, tau.denominator - tau.numerator
+            assert segment_verdict(pic, g, m, a, b) is AmpleStatus.NEF_BOUNDARY
