@@ -133,7 +133,8 @@ def validate_polarization(picard: PicardLattice, g, targets=DEFAULT_TARGETS) -> 
         raise PreconditionError("g is not ample: (g, g) <= 0")
     groups = _target_groups(targets)
     order = list(groups)
-    orthogonal = _SliceContext(picard, coords).solutions(dict.fromkeys(groups, 0), first=0)
+    even = {square for square, divs in groups.items() if 1 not in divs}
+    orthogonal = _SliceContext(picard, coords).solutions(dict.fromkeys(groups, 0), first=0, even=even)
     # report the first wall in target order, as the targets were given
     for square, x in sorted(orthogonal, key=lambda hit: (order.index(hit[0]), hit[1])):
         div = picard._divisibility(x)

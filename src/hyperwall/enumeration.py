@@ -24,7 +24,9 @@ budget grows as the square gets more negative, so the ellipsoid of a less
 negative square lies inside that of a more negative one at the same level.
 Each level is therefore walked once, with the budget of the most negative
 square whose level cap reaches it, and the innermost level tests every such
-square against what is left of that budget.
+square against what is left of that budget.  A square whose targets allow
+divisibility 2 only keeps a hit only if the divisibility forms are even on
+it: a test mod 2 on the descent coordinates, made before x is built.
 
 All arithmetic in the enumerator is exact, and the descent itself uses
 integers only; the brute-force oracle uses vectorized int64 scans guarded
@@ -35,6 +37,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 from operator import mul
@@ -170,9 +173,9 @@ class _SliceContext:
 
     The right-hand side is largest for the most negative square, and a
     second square s needs (s - s_low)*q_den less of it.  solutions() walks
-    each scale with the largest budget of the squares it asks for there, and
-    at the innermost level it tests every one of them, each with its offset
-    taken off the remaining budget.
+    each scale with the largest budget of the squares it asks for there
+    (they change only where a scale passes a cap).  Level 1 is a plain loop
+    that tests level 0 exactly for each such square, its offset taken off.
     """
 
     def __init__(self, picard: PicardLattice, g, m=None):
@@ -230,79 +233,114 @@ class _SliceContext:
         # x = columns . (t_0, ..., t_{nk-1}, scale), one column per coordinate
         self.columns = [list(col) for col in zip(*self.kernel, self.u)]
 
-    def solutions(self, caps, first: int = 1) -> list[tuple[int, tuple[int, ...]]]:
+    @cached_property
+    def _parity_rows(self) -> list[list[int]]:
+        # the divisibility forms on t, mod 2; built on the first hit that
+        # needs them, so calls without one skip it
+        cols = list(zip(*self.columns))
+        rows = ([sum(map(mul, f, c)) & 1 for c in cols] for f in self.picard._divisibility_forms)
+        return [row for row in rows if any(row)]
+
+    def _odd(self, t) -> bool:
+        """Whether x = columns . t has odd divisibility."""
+        return any(sum(map(mul, row, t)) & 1 for row in self._parity_rows)
+
+    def solutions(self, caps, first: int = 1, even=frozenset()) -> list[tuple[int, tuple[int, ...]]]:
         """Every (square, x) with (x, x) = square and first <= (x, g) <= caps[square].
 
         caps maps each target square to its largest level; the result is
         sorted.  One call walks each scale (x, g) = scale*d once, with the
         budget of the most negative square whose cap reaches it, and tests
-        every such square at the innermost level.  A context built with m
-        leaves out vectors with (x, m) > 0 wherever it can clip (see the
-        class docstring).
+        every such square at the innermost level.  A hit on a square in
+        even is kept only if x has even divisibility; that congruence is
+        tested on t, before x is built.  A context built with m leaves out
+        vectors with (x, m) > 0 wherever it can clip (see the class
+        docstring).
         """
         found: list[tuple[int, tuple[int, ...]]] = []
-        if not caps:
-            return found
         d, nk, q_num, q_den = self.d, len(self.kernel), self.q_num, self.q_den
         denoms, weights, rows, columns = self.denoms, self.weights, self.centre_rows, self.columns
         top = nk - 1
-        # Flat Fincke-Pohst walk, outermost level first.  Level i keeps its
-        # centre numerator, the budget it was entered with and its range end;
-        # t[nk] = scale, so rows[i] . t is the centre numerator of level i.
-        t = [0] * (nk + 1)
-        centres = [0] * nk
-        entered = [0] * nk
-        stops = [0] * nk
-        for scale in range(-(-first // d), max(caps.values()) // d + 1):
-            squares = sorted(s for s, cap in caps.items() if cap >= scale * d)
+        den0, w0 = (denoms[0], weights[0]) if nk else (1, 1)
+        # with nk == 1 the only level is the innermost: it is entered as one
+        # step of a level-1 loop of weight 0 that writes the spare slot
+        den1, w1, slot = (denoms[1], weights[1], 1) if nk > 1 else (1, 0, nk + 1)
+        # Flat Fincke-Pohst walk, outermost level first.  Level i >= 2 keeps
+        # its centre numerator, the budget it was entered with and its range
+        # end; level 1 is a plain loop that tests level 0 inline.  t[nk] =
+        # scale, so rows[i] . t is the centre numerator of level i; no row
+        # reads the spare slot t[nk + 1].
+        t = [0] * (nk + 2)
+        centres, entered, stops = [0] * nk, [0] * nk, [0] * nk
+        start = -(-first // d)
+        # the squares a scale asks for change only where it passes a cap
+        for cap in sorted(set(caps.values())):
+            end = cap // d + 1
+            if end <= start:
+                continue
+            squares = sorted(s for s, c in caps.items() if c >= cap)
             low = squares[0]
-            budget = scale * scale * q_num - low * q_den
-            if budget < 0:
-                continue
             # square s leaves (s - low)*q_den less budget than the lowest one
-            leaves = [(s, (s - low) * q_den) for s in squares]
-            if nk == 0:
-                x = tuple(scale * c for c in self.u)
-                found.extend((s, x) for s, off in leaves if budget == off)
-                continue
-            # (x, m) = scale*(u, m) + m_step*t[top] <= 0  <=>  t[top] < top_stop
-            top_stop = (-scale * self.u_m) // self.m_step + 1 if self.m_step else None
-            t[nk] = scale
-            i, remaining = top, budget
-            while True:
-                if i:
-                    n = sum(map(mul, rows[i], t))
-                    span = integer_interval(n, denoms[i], remaining // weights[i])
-                    stop = span.stop
-                    if i == top and top_stop is not None and top_stop < stop:
-                        stop = top_stop
-                    centres[i], entered[i], stops[i], t[i] = n, remaining, stop, span.start - 1
-                else:
-                    # innermost level: each square's budget must be consumed
-                    # exactly, so solve for t[0] instead of walking the interval
-                    for s, off in leaves:
-                        q, r = divmod(remaining - off, weights[0])
-                        if q < 0:
+            leaves = [(s, (s - low) * q_den, s in even) for s in squares]
+            for scale in range(start, end):
+                budget = scale * scale * q_num - low * q_den
+                if budget < 0:
+                    continue
+                t[nk] = scale
+                if nk == 0:
+                    x = tuple(scale * c for c in self.u)
+                    found.extend(
+                        (s, x) for s, off, parity in leaves
+                        if budget == off and not (parity and self._odd(t))
+                    )
+                    continue
+                # (x, m) = scale*(u, m) + m_step*t[top] <= 0  <=>  t[top] < top_stop
+                top_stop = (-scale * self.u_m) // self.m_step + 1 if self.m_step else None
+                i, remaining = top, budget
+                while True:
+                    if i:
+                        n = sum(map(mul, rows[i], t))
+                        span = integer_interval(n, denoms[i], remaining // weights[i])
+                        lo, stop = span.start, span.stop
+                        if i == top and top_stop is not None and top_stop < stop:
+                            stop = top_stop
+                    else:
+                        n, lo, stop = 0, 0, 1
+                    if i > 1:
+                        centres[i], entered[i], stops[i], t[i] = n, remaining, stop, lo - 1
+                    else:
+                        for t1 in range(lo, stop):
+                            e = t1 * den1 - n
+                            left = remaining - w1 * e * e
+                            # level 0: each square's budget must be consumed
+                            # exactly, so solve for t[0] instead of walking
+                            for s, off, parity in leaves:
+                                q, r = divmod(left - off, w0)
+                                if q < 0:
+                                    break
+                                root = isqrt(q)
+                                if r or root * root != q:
+                                    continue
+                                t[slot] = t1
+                                n0 = sum(map(mul, rows[0], t))
+                                for v in (n0 + root, n0 - root) if root else (n0,):
+                                    if v % den0 == 0:
+                                        t[0] = v // den0
+                                        if not (parity and self._odd(t)):
+                                            found.append((s, tuple(sum(map(mul, col, t)) for col in columns)))
+                        i = 2
+                    # the next t at the innermost level that has one left
+                    while i < nk:
+                        t[i] += 1
+                        if t[i] < stops[i]:
                             break
-                        root = isqrt(q)
-                        if not r and root * root == q:
-                            n, den = sum(map(mul, rows[0], t)), denoms[0]
-                            for v in (n + root, n - root) if root else (n,):
-                                if v % den == 0:
-                                    t[0] = v // den
-                                    found.append((s, tuple(sum(map(mul, col, t)) for col in columns)))
-                    i = 1
-                # the next t at the innermost level that has one left
-                while i < nk:
-                    t[i] += 1
-                    if t[i] < stops[i]:
+                        i += 1
+                    else:
                         break
-                    i += 1
-                else:
-                    break
-                e = t[i] * denoms[i] - centres[i]
-                remaining = entered[i] - weights[i] * e * e
-                i -= 1
+                    e = t[i] * denoms[i] - centres[i]
+                    remaining = entered[i] - weights[i] * e * e
+                    i -= 1
+            start = end
         found.sort()
         return found
 
@@ -322,8 +360,9 @@ def _collect_walls(picard: PicardLattice, g, m, groups, caps) -> list[WallClass]
     here, only (m, g) > 0, so an isotropic m slices the descent as well.
     """
     wm = picard._gram_times(m) if m is not None else None
+    even = {square for square, divs in groups.items() if 1 not in divs}
     walls: list[WallClass] = []
-    for square, x in _SliceContext(picard, g, m).solutions(caps):
+    for square, x in _SliceContext(picard, g, m).solutions(caps, even=even):
         # the context's clip misses rank 2 and m proportional to g
         if wm is not None and _dot(x, wm) > 0:
             continue
@@ -393,30 +432,27 @@ def _numpy_scan(gram, g, m, cap, box, squares) -> list[tuple[int, ...]]:
     tgrid = np.stack(grids, axis=-1).reshape(-1, trail)
     q_tt = np.einsum("ij,mi,mj->m", gmat[lead:, lead:], tgrid, tgrid)
     wg = gmat @ np.array(g, dtype=np.int64)
-    lg_t = tgrid @ wg[lead:]
-    if m is not None:
-        wm = gmat @ np.array(m, dtype=np.int64)
-        lm_t = tgrid @ wm[lead:]
+    wm = gmat @ np.array(m if m is not None else [0] * rank, dtype=np.int64)
+    lg_t, lm_t = tgrid @ wg[lead:], tgrid @ wm[lead:]
+    lg_low, lg_high, lm_low = int(lg_t.min()), int(lg_t.max()), int(lm_t.min())
     sq_arr = np.array(sorted(squares), dtype=np.int64)
     out: list[tuple[int, ...]] = []
     for head in itertools.product(range(-box, box + 1), repeat=lead):
-        if lead:
-            xl = np.array(head, dtype=np.int64)
-            base_q = int(xl @ gmat[:lead, :lead] @ xl)
-            lin = tgrid @ (2 * (gmat[lead:, :lead] @ xl))
-            vals = q_tt + lin + base_q
-            lg = lg_t + int(xl @ wg[:lead])
-        else:
-            vals = q_tt
-            lg = lg_t
-        mask = np.isin(vals, sq_arr) & (lg >= 1)
+        xl = np.array(head, dtype=np.int64)
+        at_g, at_m = int(xl @ wg[:lead]), int(xl @ wm[:lead])
+        # a head whose level range misses [1, cap] or whose (x, m) > 0 throughout
+        if at_g + lg_high < 1 or (cap is not None and at_g + lg_low > cap) or at_m + lm_low > 0:
+            continue
+        lg = lg_t + at_g
+        mask = (lg >= 1) & (lm_t + at_m <= 0)
         if cap is not None:
             mask &= lg <= cap
-        if m is not None:
-            lm = lm_t + (int(xl @ wm[:lead]) if lead else 0)
-            mask &= lm <= 0
-        for idx in np.nonzero(mask)[0]:
-            out.append(head + tuple(int(c) for c in tgrid[idx]))
+        # squares only where the level and half-space masks hold
+        idx = np.nonzero(mask)[0]
+        lin = 2 * (gmat[lead:, :lead] @ xl)
+        vals = q_tt[idx] + tgrid[idx] @ lin + int(xl @ gmat[:lead, :lead] @ xl)
+        for i in idx[np.isin(vals, sq_arr)]:
+            out.append(head + tuple(int(c) for c in tgrid[i]))
     return out
 
 

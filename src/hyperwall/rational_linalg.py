@@ -3,19 +3,18 @@
 Everything operates on plain Python ints and ``fractions.Fraction``; no
 floating point is used anywhere.  Wall membership and cone tests reduce to
 exact sign and equality questions, so even a single rounded intermediate
-value could silently drop or invent a wall.
+value could silently drop or invent a wall.  determinant, solve_exact and
+ldl_positive clear denominators once and then eliminate in ints only
+(Bareiss, Math. Comp. 22, 1968: every division is exact); they build a
+Fraction only for the output.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm, prod
 from operator import mul
 from typing import Sequence
-
-
-def as_fraction_matrix(mat) -> list[list[Fraction]]:
-    return [[Fraction(x) for x in row] for row in mat]
 
 
 def check_symmetric(mat) -> None:
@@ -28,59 +27,60 @@ def check_symmetric(mat) -> None:
                 raise ValueError("matrix is not symmetric")
 
 
+def _cleared(row) -> tuple[int, list[int]]:
+    """(den, den * row) for the lcm den of the denominators; ints or Fractions."""
+    den = lcm(*(x.denominator for x in row))
+    return den, [x.numerator * (den // x.denominator) for x in row]
+
+
 def determinant(mat) -> Fraction:
-    """Exact determinant by fraction Gaussian elimination."""
-    a = as_fraction_matrix(mat)
-    n = len(a)
-    if any(len(row) != n for row in a):
+    """Exact determinant by fraction-free (Bareiss) elimination."""
+    n = len(mat)
+    if any(len(row) != n for row in mat):
         raise ValueError("matrix is not square")
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
+    cleared = [_cleared(row) for row in mat]
+    a = [ints for _, ints in cleared]
+    sign = prev = 1
+    for k in range(n):
+        piv = next((r for r in range(k, n) if a[r][k]), None)
         if piv is None:
             return Fraction(0)
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            det = -det
-        det *= a[col][col]
-        inv = 1 / a[col][col]
-        for r in range(col + 1, n):
-            if a[r][col] != 0:
-                f = a[r][col] * inv
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return det
+        if piv != k:
+            a[k], a[piv] = a[piv], a[k]
+            sign = -sign
+        pivot_row, p = a[k], a[k][k]
+        for r in range(k + 1, n):
+            row, f = a[r], a[r][k]
+            row[k + 1:] = [(p * x - f * y) // prev for x, y in zip(row[k + 1:], pivot_row[k + 1:])]
+        prev = p
+    return Fraction(sign * prev, prod(den for den, _ in cleared))
 
 
 def solve_exact(a_rows, b) -> list[Fraction] | None:
     """Solve A x = b for A with full column rank; None if inconsistent.
 
     A is given as m rows of length n with m >= n.  Raises ValueError when
-    the columns are linearly dependent (no unique solution).
+    the columns are linearly dependent (no unique solution).  Bareiss
+    Gauss-Jordan: every pivot row ends with the last pivot on the diagonal.
     """
-    m = len(a_rows)
-    n = len(a_rows[0]) if m else 0
-    aug = [[Fraction(x) for x in row] + [Fraction(b[i])] for i, row in enumerate(a_rows)]
-    pivots: list[tuple[int, int]] = []
-    row = 0
-    for col in range(n):
-        piv = next((r for r in range(row, m) if aug[r][col] != 0), None)
+    n = len(a_rows[0]) if a_rows else 0
+    # zero rows change neither the rank nor the consistency
+    aug = [row for row in (_cleared([*r, bi])[1] for r, bi in zip(a_rows, b)) if any(row)]
+    prev = 1
+    for k in range(n):
+        piv = next((r for r in range(k, len(aug)) if aug[r][k]), None)
         if piv is None:
             raise ValueError("matrix does not have full column rank")
-        aug[row], aug[piv] = aug[piv], aug[row]
-        pv = aug[row][col]
-        for r in range(m):
-            if r != row and aug[r][col] != 0:
-                f = aug[r][col] / pv
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[row])]
-        pivots.append((row, col))
-        row += 1
-    for r in range(row, m):
-        if aug[r][n] != 0:
-            return None
-    sol = [Fraction(0)] * n
-    for r, c in pivots:
-        sol[c] = aug[r][n] / aug[r][c]
-    return sol
+        aug[k], aug[piv] = aug[piv], aug[k]
+        pivot_row, p = aug[k], aug[k][k]
+        for r, row in enumerate(aug):
+            if r != k:
+                f = row[k]
+                aug[r] = [(p * x - f * y) // prev for x, y in zip(row, pivot_row)]
+        prev = p
+    if any(row[n] for row in aug[n:]):
+        return None
+    return [Fraction(row[n], prev) for row in aug[:n]]
 
 
 def inertia(mat) -> tuple[int, int, int]:
@@ -91,7 +91,7 @@ def inertia(mat) -> tuple[int, int, int]:
     characteristic zero.
     """
     check_symmetric(mat)
-    a = as_fraction_matrix(mat)
+    a = [[Fraction(x) for x in row] for row in mat]
     n = len(a)
     pos = neg = zero = 0
     i = 0
@@ -169,27 +169,27 @@ def ldl_positive(mat) -> tuple[list[Fraction], list[list[Fraction]]]:
 
     Returns (d, coef) such that x^T N x = sum_i d[i] * (x_i + sum_{j>i}
     coef[i][j] * x_j)^2 with every d[i] > 0.  Raises ValueError when the
-    matrix is not positive definite.
+    matrix is not positive definite.  The Bareiss pivots of L*N (L clears
+    N) are its leading minors D_i, so d[i] = D_{i+1} / (D_i * L).
     """
     check_symmetric(mat)
-    a = as_fraction_matrix(mat)
-    n = len(a)
+    n = len(mat)
+    scale = lcm(*(x.denominator for row in mat for x in row))
+    a = [[x.numerator * (scale // x.denominator) for x in row] for row in mat]
+    zero = Fraction(0)
     d: list[Fraction] = []
-    coef = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        di = a[i][i]
-        if di <= 0:
+    coef = [[zero] * n for _ in range(n)]
+    prev = 1
+    for i, pivot_row in enumerate(a):
+        p = pivot_row[i]
+        if p <= 0:
             raise ValueError("matrix is not positive definite")
-        d.append(di)
-        for j in range(i + 1, n):
-            coef[i][j] = a[i][j] / di
-        for j in range(i + 1, n):
-            aij = a[i][j]
-            if aij:
-                for k in range(j, n):
-                    a[j][k] -= aij * a[i][k] / di
-                    if k != j:
-                        a[k][j] = a[j][k]
+        d.append(Fraction(p, prev * scale))
+        coef[i][i + 1:] = [Fraction(x, p) for x in pivot_row[i + 1:]]
+        for r in range(i + 1, n):
+            row, f = a[r], pivot_row[r]  # the matrix stays symmetric
+            row[r:] = [(p * x - f * y) // prev for x, y in zip(row[r:], pivot_row[r:])]
+        prev = p
     return d, coef
 
 

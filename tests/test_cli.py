@@ -1,15 +1,28 @@
+import contextlib
+import io
 import json
 import os
+import random
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hyperwall
-from hyperwall import basis_vector
+from hyperwall import (
+    PreconditionError,
+    WallQuery,
+    basis_vector,
+    enumerate_walls,
+    is_ample,
+    nef_threshold,
+)
 from hyperwall.cli import main
-from lattice_fixtures import DELTA, H
+from lattice_fixtures import DELTA, H, random_hyperbolic_picard, random_polarized_pair
 
 RANK2_DOC = {
     "picard_basis": [list(H), list(DELTA)],
@@ -378,6 +391,72 @@ class TestRoundTrip:
         code, out2, _ = run(capsys, "nef-threshold", "--input", str(echoed), "--format", "json")
         assert code == 0
         assert json.loads(out2) == report
+
+
+def run_json(command, path):
+    """The CLI in-process with --format json: (exit code, stdout)."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main([command, "--input", str(path), "--format", "json"])
+    return code, out.getvalue()
+
+
+def wall_rows(walls):
+    return [(list(w.rho_picard), list(w.rho_ambient), w.square, w.div) for w in walls]
+
+
+def payload_rows(payloads):
+    return [(p["picard"], p["ambient"], p["square"], p["div"]) for p in payloads]
+
+
+def library_answer(command, pic, g, m):
+    """What the CLI must report, or None where it must exit with 3."""
+    try:
+        if command == "walls":
+            return wall_rows(enumerate_walls(WallQuery(pic, g, m=m)))
+        if command == "ample":
+            verdict = is_ample(pic, g, m)
+            return verdict.status.value, verdict.certainty, wall_rows(verdict.witnesses)
+        tau, walls = nef_threshold(pic, g, m)
+        return str(tau), wall_rows(walls)
+    except PreconditionError:
+        return None
+
+
+def reported_answer(command, report):
+    if command == "walls":
+        return payload_rows(report["walls"])
+    if command == "ample":
+        return report["status"], report["certainty"], payload_rows(report["witnesses"])
+    return report["tau"], payload_rows(report["walls"])
+
+
+class TestJsonRoundTripProperty:
+    """walls, ample and nef-threshold JSON against the library, and the
+    echoed input fed back reproducing the report byte for byte."""
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=30)
+    @given(st.integers(min_value=2, max_value=4), st.integers(min_value=0, max_value=2**32 - 1))
+    def test_reports_match_the_library_and_reproduce(self, rank, seed):
+        rng = random.Random(seed)
+        pic = random_hyperbolic_picard(rng, rank)
+        g, m = random_polarized_pair(rng, pic)
+        doc = {"picard_basis": [list(b) for b in pic.basis], "g": list(g), "m": list(m)}
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "input.json"
+            echoed = Path(tmp) / "echoed.json"
+            path.write_text(json.dumps(doc))
+            for command in ("walls", "ample", "nef-threshold"):
+                code, out = run_json(command, path)
+                expected = library_answer(command, pic, g, m)
+                if expected is None:
+                    assert (code, out) == (3, "")
+                    continue
+                assert code == 0
+                report = json.loads(out)
+                assert reported_answer(command, report) == expected
+                echoed.write_text(json.dumps(report["input"]))
+                assert run_json(command, echoed) == (0, out)
 
 
 class TestStartup:

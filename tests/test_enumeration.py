@@ -344,6 +344,33 @@ class TestIntegerKernel:
         assert calls <= most
 
 
+    def test_odd_hits_on_even_squares_never_leave_the_walk(self, monkeypatch):
+        """Capped L(5): the (-10) hits of odd divisibility are dropped at the
+        hit, so every candidate is a wall, on the same tree."""
+        calls = 0
+        interval = enumeration.integer_interval
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return interval(*args)
+
+        candidates = []
+        solutions = _SliceContext.solutions
+
+        def recorded(ctx, *args, **kwargs):
+            found = solutions(ctx, *args, **kwargs)
+            candidates.extend(found)
+            return found
+
+        monkeypatch.setattr(enumeration, "integer_interval", counted)
+        monkeypatch.setattr(_SliceContext, "solutions", recorded)
+        walls = enumerate_walls(WallQuery(ladder_picard(5), (16, 4, -5, -4, 4), level_cap=160))
+        assert calls == 844
+        # 470 candidates when every hit was returned
+        assert len(candidates) == len(walls) == 216
+
+
 class TestPrimitivity:
     def test_non_primitive_target_class_is_not_a_wall(self):
         # 2*E8a_1 has square -8 and divisibility 2 but is not primitive

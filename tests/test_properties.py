@@ -152,6 +152,32 @@ class TestSingleWalk:
         assert ctx.solutions(caps, first=first) == expected
 
 
+class TestEvenSquares:
+    """The divisibility congruence tested at the hit drops exactly the odd ones."""
+
+    @PROPERTY_SETTINGS
+    @given(st.data())
+    def test_equals_the_plain_walk_without_odd_hits(self, data):
+        rank = data.draw(st.integers(min_value=2, max_value=5))
+        rng = random.Random(data.draw(seeds))
+        pic = random_hyperbolic_picard(rng, rank)
+        g, m = random_polarized_pair(rng, pic)
+        squares = sorted({s for s, _ in data.draw(st.sampled_from([DEFAULT_TARGETS, MIXED_TARGETS]))})
+        if data.draw(st.booleans()):
+            ctx = _SliceContext(pic, g, m)
+            caps = {s: level_bound(pic, g, m, s) for s in squares}
+        else:
+            ctx = _SliceContext(pic, g)
+            caps = {s: data.draw(st.integers(min_value=0, max_value=12)) for s in squares}
+        first = data.draw(st.integers(min_value=0, max_value=1))
+        even = set(data.draw(st.lists(st.sampled_from(squares), unique=True)))
+        expected = [
+            (s, x) for s, x in ctx.solutions(caps, first=first)
+            if s not in even or pic._divisibility(x) % 2 == 0
+        ]
+        assert ctx.solutions(caps, first, even=even) == expected
+
+
 def segment_verdict(pic, g, m, a, b):
     """is_ample on a*m + b*g, the segment class at t = a/(a+b) up to scale."""
     return is_ample(pic, g, tuple(a * mi + b * gi for mi, gi in zip(m, g))).status

@@ -4,8 +4,11 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hyperwall.rational_linalg import (
+    check_symmetric,
     determinant,
     inertia,
     integer_interval,
@@ -35,6 +38,93 @@ def rank_of(rows) -> int:
                 work[r] = [x - f * y for x, y in zip(work[r], work[rank])]
         rank += 1
     return rank
+
+
+# Fraction Gaussian elimination: the package's former determinant,
+# solve_exact and ldl_positive, kept as reference oracles for the
+# fraction-free (Bareiss) versions.
+
+
+def fraction_determinant(mat) -> Fraction:
+    a = [[Fraction(x) for x in row] for row in mat]
+    n = len(a)
+    if any(len(row) != n for row in a):
+        raise ValueError("matrix is not square")
+    det = Fraction(1)
+    for col in range(n):
+        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != col:
+            a[col], a[piv] = a[piv], a[col]
+            det = -det
+        det *= a[col][col]
+        inv = 1 / a[col][col]
+        for r in range(col + 1, n):
+            if a[r][col] != 0:
+                f = a[r][col] * inv
+                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
+    return det
+
+
+def fraction_solve(a_rows, b):
+    """Gauss-Jordan in Fractions: A x = b, None if inconsistent."""
+    m = len(a_rows)
+    n = len(a_rows[0]) if m else 0
+    aug = [[Fraction(x) for x in row] + [Fraction(b[i])] for i, row in enumerate(a_rows)]
+    pivots = []
+    row = 0
+    for col in range(n):
+        piv = next((r for r in range(row, m) if aug[r][col] != 0), None)
+        if piv is None:
+            raise ValueError("matrix does not have full column rank")
+        aug[row], aug[piv] = aug[piv], aug[row]
+        pv = aug[row][col]
+        for r in range(m):
+            if r != row and aug[r][col] != 0:
+                f = aug[r][col] / pv
+                aug[r] = [x - f * y for x, y in zip(aug[r], aug[row])]
+        pivots.append((row, col))
+        row += 1
+    for r in range(row, m):
+        if aug[r][n] != 0:
+            return None
+    sol = [Fraction(0)] * n
+    for r, c in pivots:
+        sol[c] = aug[r][n] / aug[r][c]
+    return sol
+
+
+def fraction_ldl(mat):
+    """LDL in Fractions: (d, coef) with x^T N x = sum d_i (x_i + sum coef_ij x_j)^2."""
+    check_symmetric(mat)
+    a = [[Fraction(x) for x in row] for row in mat]
+    n = len(a)
+    d = []
+    coef = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        di = a[i][i]
+        if di <= 0:
+            raise ValueError("matrix is not positive definite")
+        d.append(di)
+        for j in range(i + 1, n):
+            coef[i][j] = a[i][j] / di
+        for j in range(i + 1, n):
+            aij = a[i][j]
+            if aij:
+                for k in range(j, n):
+                    a[j][k] -= aij * a[i][k] / di
+                    if k != j:
+                        a[k][j] = a[j][k]
+    return d, coef
+
+
+def outcome(fn, *args):
+    """The result, or the ValueError message, so both paths compare."""
+    try:
+        return "ok", fn(*args)
+    except ValueError as exc:
+        return "error", str(exc)
 
 
 def random_matrix(rng, n, lo=-6, hi=6):
@@ -317,3 +407,100 @@ class TestSaturationIndex:
         assert saturation_index([[2, 4, 6]]) == 2
         assert saturation_index([[1, 2], [2, 4]]) == 0
         assert saturation_index([[1, 0], [0, 1], [1, 1]]) == 0
+
+
+KERNEL_SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=120)
+
+
+def entries(rational):
+    ints = st.integers(min_value=-6, max_value=6)
+    if not rational:
+        return ints
+    return st.one_of(ints, st.fractions(min_value=-6, max_value=6, max_denominator=6))
+
+
+@st.composite
+def matrices(draw, rows, cols, rational):
+    return [[draw(entries(rational)) for _ in range(cols)] for _ in range(rows)]
+
+
+def all_fractions(values) -> bool:
+    return all(isinstance(x, Fraction) for x in values)
+
+
+class TestBareissAgainstFractionReferences:
+    """The fraction-free kernels equal Fraction Gaussian elimination."""
+
+    @KERNEL_SETTINGS
+    @given(st.integers(min_value=0, max_value=5), st.booleans(), st.data())
+    def test_determinant(self, n, rational, data):
+        mat = data.draw(matrices(n, n, rational))
+        if data.draw(st.booleans()) and n > 1:  # singular: a repeated row
+            mat[-1] = list(mat[0])
+        det = determinant(mat)
+        assert det == fraction_determinant(mat)
+        assert isinstance(det, Fraction)
+
+    def test_determinant_rejects_non_square_alike(self):
+        mat = [[1, 2, 3], [4, 5, 6]]
+        assert outcome(determinant, mat) == outcome(fraction_determinant, mat)
+
+    @KERNEL_SETTINGS
+    @given(
+        st.integers(min_value=1, max_value=4),
+        st.integers(min_value=0, max_value=3),
+        st.booleans(),
+        st.sampled_from(["consistent", "arbitrary", "column_deficient"]),
+        st.data(),
+    )
+    def test_solve(self, n, extra, rational, kind, data):
+        """Square and overdetermined, consistent or not, and rank-deficient."""
+        a = data.draw(matrices(n + extra, n, rational))
+        if kind == "column_deficient":  # the last column a multiple of the first
+            c = data.draw(entries(rational)) if n > 1 else 0
+            for row in a:
+                row[-1] = c * row[0]
+        if kind == "consistent":
+            x = data.draw(matrices(1, n, rational))[0]
+            b = [sum(r[j] * x[j] for j in range(n)) for r in a]
+        else:
+            b = data.draw(matrices(1, n + extra, rational))[0]
+        got = outcome(solve_exact, a, b)
+        assert got == outcome(fraction_solve, a, b)
+        if kind == "column_deficient":
+            assert got[0] == "error"
+        elif got[0] == "ok" and got[1] is not None:
+            assert all_fractions(got[1])
+            if kind == "consistent":
+                assert [sum(r[j] * got[1][j] for j in range(n)) for r in a] == b
+
+    @KERNEL_SETTINGS
+    @given(
+        st.integers(min_value=0, max_value=5),
+        st.booleans(),
+        st.sampled_from(["definite", "semidefinite", "symmetric"]),
+        st.data(),
+    )
+    def test_ldl(self, n, rational, kind, data):
+        """Positive definite B^T B; singular or arbitrary symmetric input
+        raises the same ValueError as the reference."""
+        if kind == "symmetric":
+            m = data.draw(matrices(n, n, rational))
+            mat = [[m[i][j] + m[j][i] for j in range(n)] for i in range(n)]
+        else:
+            b = data.draw(matrices(n, n, rational))
+            if kind == "semidefinite" and n:
+                b[-1] = [0] * n
+            mat = [[sum(r[i] * r[j] for r in b) for j in range(n)] for i in range(n)]
+        got = outcome(ldl_positive, mat)
+        assert got == outcome(fraction_ldl, mat)
+        if got[0] == "ok":
+            d, coef = got[1]
+            assert all_fractions(d) and all(all_fractions(row) for row in coef)
+        if kind == "semidefinite" and n:
+            assert got == ("error", "matrix is not positive definite")
+
+    def test_ldl_rejects_asymmetric_alike(self):
+        mat = [[2, 1], [0, 2]]
+        assert outcome(ldl_positive, mat) == outcome(fraction_ldl, mat)
+        assert outcome(ldl_positive, mat)[0] == "error"
