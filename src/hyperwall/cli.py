@@ -184,7 +184,7 @@ def _resolve_targets(doc: InputDocument, args) -> tuple[tuple[int, int], ...]:
 def _resolve_level_cap(doc: InputDocument, args) -> int | None:
     cap = getattr(args, "level_cap", None)
     if cap is not None:
-        return cap
+        return _as_int(cap, "--level-cap")
     return doc.level_cap
 
 
@@ -378,7 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("walls", help="enumerate oriented wall classes")
     p.add_argument("--input", required=True)
     p.add_argument("--targets", help="override targets, e.g. -2:1,-2:2,-10:2")
-    p.add_argument("--level-cap", dest="level_cap", type=int)
+    p.add_argument("--level-cap", dest="level_cap")
     add_format(p)
     p.set_defaults(handler=cmd_walls)
 

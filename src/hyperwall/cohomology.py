@@ -173,6 +173,24 @@ def _poly_scale(c, p):
     return [c * a for a in p]
 
 
+def _cramer_polynomials():
+    """(det, num_a, num_b) in x = (lambda, lambda): a = num_a / det, b = num_b / det.
+
+    Cramer's rule on the two equations linear in (a, b):
+    575 a + 25 b x = -5/2   (Chern constraint divided by 6/5)
+    25 x a + 3 x^2 b = x^2 / 4   (hyperplane-degree constraint)
+    """
+    one = [Fraction(1)]
+    xpoly = [Fraction(0), Fraction(1)]
+    x2 = _poly_mul(xpoly, xpoly)
+    a11, a12, r1 = _poly_scale(575, one), _poly_scale(25, xpoly), [Fraction(-5, 2)]
+    a21, a22, r2 = _poly_scale(25, xpoly), _poly_scale(3, x2), _poly_scale(Fraction(1, 4), x2)
+    det = _poly_add(_poly_mul(a11, a22), _poly_scale(-1, _poly_mul(a12, a21)))
+    num_a = _poly_add(_poly_mul(r1, a22), _poly_scale(-1, _poly_mul(a12, r2)))
+    num_b = _poly_add(_poly_mul(a11, r2), _poly_scale(-1, _poly_mul(r1, a21)))
+    return det, num_a, num_b
+
+
 def lagrangian_eliminant() -> tuple[int, int, int]:
     """Integer coefficients (A, B, C) of the eliminant A x^2 + B x + C = 0.
 
@@ -180,16 +198,9 @@ def lagrangian_eliminant() -> tuple[int, int, int]:
     by Cramer's rule with coefficients polynomial in x = (lambda, lambda),
     substitute into the self-pairing equation and clear denominators.
     """
-    one = [Fraction(1)]
     xpoly = [Fraction(0), Fraction(1)]
     x2 = _poly_mul(xpoly, xpoly)
-    # 575 a + 25 b x = -5/2   (Chern constraint divided by 6/5)
-    # 25 x a + 3 x^2 b = x^2 / 4   (hyperplane-degree constraint)
-    a11, a12, r1 = _poly_scale(575, one), _poly_scale(25, xpoly), [Fraction(-5, 2)]
-    a21, a22, r2 = _poly_scale(25, xpoly), _poly_scale(3, x2), _poly_scale(Fraction(1, 4), x2)
-    det = _poly_add(_poly_mul(a11, a22), _poly_scale(-1, _poly_mul(a12, a21)))
-    num_a = _poly_add(_poly_mul(r1, a22), _poly_scale(-1, _poly_mul(a12, r2)))
-    num_b = _poly_add(_poly_mul(a11, r2), _poly_scale(-1, _poly_mul(r1, a21)))
+    det, num_a, num_b = _cramer_polynomials()
     # Self-pairing equation times det^2:
     # 575 num_a^2 + 50 num_a num_b x + 3 num_b^2 x^2 - 3 det^2 = 0
     poly = _poly_add(
@@ -235,11 +246,10 @@ def lagrangian_solver() -> list[PlaneSolution]:
     xs = sorted(
         (Fraction(-qb - root, 2 * qa), Fraction(-qb + root, 2 * qa))
     )
+    cramer = _cramer_polynomials()
     solutions = []
     for x in xs:
-        det = 1725 * x * x - 625 * x * x  # 575*3x^2 - (25x)^2
-        num_a = Fraction(-5, 2) * 3 * x * x - 25 * x * (x * x / 4)
-        num_b = 575 * (x * x / 4) - Fraction(-5, 2) * 25 * x
+        det, num_a, num_b = (sum(c * x**i for i, c in enumerate(p)) for p in cramer)
         a = num_a / det
         b = num_b / det
         admissible = x.denominator == 1 and x < 0 and int(x) % 2 == 0

@@ -121,10 +121,13 @@ def level_bound(picard: PicardLattice, g, m, square: int) -> int:
     """Largest level k = (rho, g) a wall with (rho, m) <= 0 can reach.
 
     Derived from Cauchy-Schwarz on the negative definite complement of g:
-    k^2 * (m, m) <= -square * ((g, m)^2 - (m, m)(g, g)).
+    k^2 * (m, m) <= -square * ((g, m)^2 - (m, m)(g, g)), which needs
+    (m, m) > 0; any other m raises ValueError.
     """
     v = picard.square(g)
     w = picard.square(m)
+    if w <= 0:
+        raise ValueError("m must lie in the positive cone: (m, m) > 0 required")
     p = picard.pair(g, m)
     num = -square * (p * p - w * v)
     if num <= 0:

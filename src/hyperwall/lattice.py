@@ -10,11 +10,11 @@ abstract Gram matrix alone.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from operator import mul
-from typing import Iterable, Sequence
 
 from .rational_linalg import (
     check_symmetric,
@@ -206,8 +206,7 @@ def _require_primitive(v) -> None:
 
 
 def signature_of(gram) -> tuple[int, int, int]:
-    """Inertia (positive, negative, zero) by exact rational diagonalization."""
-    check_symmetric(gram)
+    """Inertia (positive, negative, zero) by exact symmetric elimination."""
     return inertia(gram)
 
 

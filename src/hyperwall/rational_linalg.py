@@ -3,16 +3,17 @@
 Everything operates on plain Python ints and ``fractions.Fraction``; no
 floating point is used anywhere.  Wall membership and cone tests reduce to
 exact sign and equality questions, so even a single rounded intermediate
-value could silently drop or invent a wall.  determinant, solve_exact and
-ldl_positive clear denominators once and then eliminate in ints only
-(Bareiss, Math. Comp. 22, 1968: every division is exact); they build a
-Fraction only for the output.
+value could silently drop or invent a wall.  The eliminations clear
+denominators once and then work in ints only (Bareiss, Math. Comp. 22,
+1968: every division is exact), building a Fraction only for the output.
+One symmetric pass gives inertia, determinant and ldl_positive;
+solve_exact runs Bareiss Gauss-Jordan on the augmented rows.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt, lcm, prod
+from math import isqrt, lcm
 from operator import mul
 from typing import Sequence
 
@@ -33,27 +34,59 @@ def _cleared(row) -> tuple[int, list[int]]:
     return den, [x.numerator * (den // x.denominator) for x in row]
 
 
-def determinant(mat) -> Fraction:
-    """Exact determinant by fraction-free (Bareiss) elimination."""
+def _eliminate(mat) -> tuple[int, list[list[int]], list[int]]:
+    """One symmetric fraction-free (Bareiss) elimination pass.
+
+    Returns (scale, a, minors): scale clears every denominator of mat, and
+    minors = [1, D_1, ..., D_s] are the leading minors of a matrix
+    congruent to scale * mat by a unimodular change of basis.  The pass
+    stops when the trailing block is zero, so s is the rank.  Row k of a
+    holds the Bareiss row of step k from column k on.  Every division is
+    exact: the trailing entries stay bordered minors of an integer matrix.
+    """
+    check_symmetric(mat)
     n = len(mat)
-    if any(len(row) != n for row in mat):
-        raise ValueError("matrix is not square")
-    cleared = [_cleared(row) for row in mat]
-    a = [ints for _, ints in cleared]
-    sign = prev = 1
+    scale = lcm(*(x.denominator for row in mat for x in row))
+    a = [[x.numerator * (scale // x.denominator) for x in row] for row in mat]
+    minors = [1]
     for k in range(n):
-        piv = next((r for r in range(k, n) if a[r][k]), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != k:
-            a[k], a[piv] = a[piv], a[k]
-            sign = -sign
-        pivot_row, p = a[k], a[k][k]
+        if not a[k][k]:
+            # Swap a later nonzero diagonal entry into place, row and column.
+            # If there is none, first add row and column l to row and column
+            # j for some a[j][l] != 0, which leaves a[j][j] = 2 a[j][l].
+            for r in range(k, n):  # the updates keep only the upper triangle
+                for c in range(r + 1, n):
+                    a[c][r] = a[r][c]
+            j = next((j for j in range(k, n) if a[j][j]), None)
+            if j is None:
+                off = next(((j, l) for j in range(k, n) for l in range(j + 1, n) if a[j][l]), None)
+                if off is None:
+                    break
+                j, l = off
+                for t in range(k, n):
+                    a[j][t] += a[l][t]
+                for row in a[k:]:
+                    row[j] += row[l]
+            for row in a[k:]:
+                row[k], row[j] = row[j], row[k]
+            a[k], a[j] = a[j], a[k]
+        pivot_row, p, prev = a[k], a[k][k], minors[-1]
         for r in range(k + 1, n):
-            row, f = a[r], a[r][k]
-            row[k + 1:] = [(p * x - f * y) // prev for x, y in zip(row[k + 1:], pivot_row[k + 1:])]
-        prev = p
-    return Fraction(sign * prev, prod(den for den, _ in cleared))
+            row, f = a[r], pivot_row[r]  # the matrix stays symmetric
+            row[r:] = [(p * x - f * y) // prev for x, y in zip(row[r:], pivot_row[r:])]
+        minors.append(p)
+    return scale, a, minors
+
+
+def determinant(mat) -> Fraction:
+    """Exact determinant of a symmetric rational matrix.
+
+    A unimodular congruence keeps the determinant, so it is the last
+    leading minor, or 0 when the elimination stops early.
+    """
+    scale, a, minors = _eliminate(mat)
+    n = len(a)
+    return Fraction(minors[n], scale**n) if len(minors) > n else Fraction(0)
 
 
 def solve_exact(a_rows, b) -> list[Fraction] | None:
@@ -86,49 +119,12 @@ def solve_exact(a_rows, b) -> list[Fraction] | None:
 def inertia(mat) -> tuple[int, int, int]:
     """Sylvester inertia (positive, negative, zero) of a symmetric matrix.
 
-    Uses exact rational congruence diagonalization; zero diagonal entries
-    are repaired by the standard row+column addition, which is valid in
-    characteristic zero.
+    The pivot D_{k+1} / D_k of the elimination has the sign of
+    D_{k+1} * D_k (Jacobi), and the rank deficiency counts the zeros.
     """
-    check_symmetric(mat)
-    a = [[Fraction(x) for x in row] for row in mat]
-    n = len(a)
-    pos = neg = zero = 0
-    i = 0
-    while i < n:
-        piv = next((j for j in range(i, n) if a[j][j] != 0), None)
-        if piv is None:
-            off = next(
-                ((j, k) for j in range(i, n) for k in range(j + 1, n) if a[j][k] != 0),
-                None,
-            )
-            if off is None:
-                zero += n - i
-                break
-            j, k = off
-            for t in range(i, n):
-                a[j][t] += a[k][t]
-            for t in range(i, n):
-                a[t][j] += a[t][k]
-            piv = j
-        if piv != i:
-            a[i], a[piv] = a[piv], a[i]
-            for t in range(n):
-                a[t][i], a[t][piv] = a[t][piv], a[t][i]
-        d = a[i][i]
-        if d > 0:
-            pos += 1
-        else:
-            neg += 1
-        for j in range(i + 1, n):
-            aij = a[i][j]
-            if aij:
-                for k in range(j, n):
-                    a[j][k] -= aij * a[i][k] / d
-                    if k != j:
-                        a[k][j] = a[j][k]
-        i += 1
-    return pos, neg, zero
+    _, a, minors = _eliminate(mat)
+    pos = sum((x > 0) == (y > 0) for x, y in zip(minors, minors[1:]))
+    return pos, len(minors) - 1 - pos, len(a) + 1 - len(minors)
 
 
 def linear_form_basis(w: Sequence[int]) -> tuple[int, list[int], list[list[int]]]:
@@ -169,27 +165,17 @@ def ldl_positive(mat) -> tuple[list[Fraction], list[list[Fraction]]]:
 
     Returns (d, coef) such that x^T N x = sum_i d[i] * (x_i + sum_{j>i}
     coef[i][j] * x_j)^2 with every d[i] > 0.  Raises ValueError when the
-    matrix is not positive definite.  The Bareiss pivots of L*N (L clears
-    N) are its leading minors D_i, so d[i] = D_{i+1} / (D_i * L).
+    matrix is not positive definite.  The elimination pivots of L*N (L
+    clears N) are its leading minors D_i, so d[i] = D_{i+1} / (D_i * L).
     """
-    check_symmetric(mat)
-    n = len(mat)
-    scale = lcm(*(x.denominator for row in mat for x in row))
-    a = [[x.numerator * (scale // x.denominator) for x in row] for row in mat]
+    scale, a, minors = _eliminate(mat)
+    n = len(a)
+    # all n minors positive: N is positive definite, so no pivot was moved
+    if len(minors) <= n or min(minors) <= 0:
+        raise ValueError("matrix is not positive definite")
     zero = Fraction(0)
-    d: list[Fraction] = []
-    coef = [[zero] * n for _ in range(n)]
-    prev = 1
-    for i, pivot_row in enumerate(a):
-        p = pivot_row[i]
-        if p <= 0:
-            raise ValueError("matrix is not positive definite")
-        d.append(Fraction(p, prev * scale))
-        coef[i][i + 1:] = [Fraction(x, p) for x in pivot_row[i + 1:]]
-        for r in range(i + 1, n):
-            row, f = a[r], pivot_row[r]  # the matrix stays symmetric
-            row[r:] = [(p * x - f * y) // prev for x, y in zip(row[r:], pivot_row[r:])]
-        prev = p
+    d = [Fraction(p, prev * scale) for prev, p in zip(minors, minors[1:])]
+    coef = [[zero] * (i + 1) + [Fraction(x, p) for x in a[i][i + 1:]] for i, p in enumerate(minors[1:])]
     return d, coef
 
 

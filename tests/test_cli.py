@@ -322,7 +322,7 @@ class TestInputValidation:
         assert out == ""
         assert "g[0]" in err
 
-    @pytest.mark.parametrize("text", ["\u00b2", "\u0661\u0662", "-\u0663", "\uff17", "1_0"])
+    @pytest.mark.parametrize("text", ["\u00b2", "\u0661\u0662", "-\u0663", "\uff17", "1_0", "+2"])
     def test_non_ascii_digits_rejected_in_flags(self, capsys, rank2_file, text):
         # the flags parse integers like the JSON input does
         code, out, err = run(
@@ -334,6 +334,9 @@ class TestInputValidation:
         code, out, err = run(capsys, "classify", "--input", rank2_file, f"--rho={rho}")
         assert (code, out) == (2, "")
         assert "--rho[0]" in err
+        code, out, err = run(capsys, "walls", "--input", rank2_file, f"--level-cap={text}")
+        assert (code, out) == (2, "")
+        assert "--level-cap" in err
 
     @pytest.mark.parametrize("command", ["ample", "nef-threshold"])
     def test_bad_targets_rejected_before_the_verdict(self, capsys, tmp_path, command):

@@ -426,6 +426,12 @@ class TestLevelBound:
         pic = rank2_picard()
         assert level_bound(pic, FIXTURE_G, FIXTURE_G, -2) == 0
 
+    @pytest.mark.parametrize("m", [(1, 1), (0, 1)], ids=["isotropic", "negative"])
+    def test_m_outside_the_positive_cone_rejected(self, m):
+        # the Gram is diag(2, -2): (1, 1) has square 0 and (0, 1) square -2
+        with pytest.raises(ValueError, match=r"m must lie in the positive cone: \(m, m\) > 0 required"):
+            level_bound(rank2_picard(), FIXTURE_G, m, -2)
+
 
 class TestBruteForceOracle:
     def test_box_zero_is_empty(self):

@@ -20,8 +20,7 @@ from hyperwall import (
     validate_polarization,
 )
 from hyperwall.enumeration import DEFAULT_TARGETS, _SliceContext
-from hyperwall.rational_linalg import determinant
-from lattice_fixtures import random_hyperbolic_picard, random_polarized_pair
+from lattice_fixtures import cofactor_det, random_hyperbolic_picard, random_polarized_pair
 
 PROPERTY_SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=100)
 
@@ -87,7 +86,7 @@ class TestSliceBasis:
             nk = len(ctx.kernel)
             assert all(pic.pair(row, g) == 0 for row in ctx.kernel)
             assert pic.pair(ctx.u, g) == ctx.d
-            assert determinant(ctx.kernel + [ctx.u]) in (1, -1)
+            assert cofactor_det(ctx.kernel + [ctx.u]) in (1, -1)
         if not ctx.m_step:  # m proportional to g: no slice along m
             assert all(pic.pair(row, m) == 0 for row in ctx.kernel)
             return

@@ -41,7 +41,7 @@ def rank_of(rows) -> int:
 
 
 # Fraction Gaussian elimination: the package's former determinant,
-# solve_exact and ldl_positive, kept as reference oracles for the
+# solve_exact, ldl_positive and inertia, kept as reference oracles for the
 # fraction-free (Bareiss) versions.
 
 
@@ -119,6 +119,50 @@ def fraction_ldl(mat):
     return d, coef
 
 
+def fraction_inertia(mat) -> tuple[int, int, int]:
+    """Congruence diagonalization in Fractions; a zero diagonal is repaired
+    by the row+column addition, valid in characteristic zero."""
+    check_symmetric(mat)
+    a = [[Fraction(x) for x in row] for row in mat]
+    n = len(a)
+    pos = neg = zero = 0
+    i = 0
+    while i < n:
+        piv = next((j for j in range(i, n) if a[j][j] != 0), None)
+        if piv is None:
+            off = next(
+                ((j, k) for j in range(i, n) for k in range(j + 1, n) if a[j][k] != 0),
+                None,
+            )
+            if off is None:
+                zero += n - i
+                break
+            j, k = off
+            for t in range(i, n):
+                a[j][t] += a[k][t]
+            for t in range(i, n):
+                a[t][j] += a[t][k]
+            piv = j
+        if piv != i:
+            a[i], a[piv] = a[piv], a[i]
+            for t in range(n):
+                a[t][i], a[t][piv] = a[t][piv], a[t][i]
+        d = a[i][i]
+        if d > 0:
+            pos += 1
+        else:
+            neg += 1
+        for j in range(i + 1, n):
+            aij = a[i][j]
+            if aij:
+                for k in range(j, n):
+                    a[j][k] -= aij * a[i][k] / d
+                    if k != j:
+                        a[k][j] = a[j][k]
+        i += 1
+    return pos, neg, zero
+
+
 def outcome(fn, *args):
     """The result, or the ValueError message, so both paths compare."""
     try:
@@ -141,7 +185,7 @@ class TestDeterminant:
         rng = random.Random(11)
         for _ in range(50):
             n = rng.randint(1, 5)
-            m = random_matrix(rng, n)
+            m = random_symmetric(rng, n)
             assert determinant(m) == cofactor_det(m)
 
     def test_singular(self):
@@ -171,7 +215,7 @@ class TestInertia:
             n = rng.randint(1, 5)
             a = random_symmetric(rng, n)
             u = random_matrix(rng, n, -3, 3)
-            if determinant(u) == 0:
+            if fraction_determinant(u) == 0:
                 continue
             uau = [
                 [
@@ -244,7 +288,7 @@ class TestLinearFormBasis:
                 assert sum(wi * vi for wi, vi in zip(w, vec)) == 0
             cols = [u] + kernel
             mat = [[cols[j][i] for j in range(n)] for i in range(n)]
-            assert determinant(mat) in (1, -1)
+            assert fraction_determinant(mat) in (1, -1)
 
     def test_zero_form_rejected(self):
         with pytest.raises(ValueError):
@@ -255,7 +299,7 @@ def random_positive_definite(rng, n):
     """B^T B for a random invertible integer B."""
     while True:
         b = random_matrix(rng, n, -4, 4)
-        if determinant(b) != 0:
+        if fraction_determinant(b) != 0:
             return [[sum(b[k][i] * b[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
 
 
@@ -288,7 +332,7 @@ class TestLdl:
         while done < 25:
             n = rng.randint(1, 5)
             b = random_matrix(rng, n, -4, 4)
-            if determinant(b) == 0:
+            if fraction_determinant(b) == 0:
                 continue
             # B^T B is positive definite for invertible B
             m = [
@@ -333,11 +377,11 @@ class TestIntegralLll:
             n = rng.randint(1, 6)
             gram = random_positive_definite(rng, n)
             start = random_matrix(rng, n, -5, 5)
-            if determinant(start) == 0:
+            if fraction_determinant(start) == 0:
                 continue
             rows = integral_lll(gram, start)
             # rows = T * start for an integral T with det T = +-1
-            assert determinant(rows) in (determinant(start), -determinant(start))
+            assert fraction_determinant(rows) in (fraction_determinant(start), -fraction_determinant(start))
             transform = [solve_exact([list(c) for c in zip(*start)], row) for row in rows]
             assert all(c.denominator == 1 for row in transform for c in row)
 
@@ -424,6 +468,45 @@ def matrices(draw, rows, cols, rational):
     return [[draw(entries(rational)) for _ in range(cols)] for _ in range(rows)]
 
 
+# "generic" symmetric; its diagonal zeroed; a sum of hyperbolic planes
+# [[0, c], [c, 0]] and a generic block, indices shuffled; B^T D B with
+# fewer rows than n (singular); a generic block padded with zero rows and
+# columns (an all-zero trailing block)
+SYMMETRIC_KINDS = ["generic", "zero_diagonal", "hyperbolic", "low_rank", "zero_tail"]
+
+
+@st.composite
+def symmetric_matrices(draw, n, rational, kind):
+    def generic(size):
+        m = draw(matrices(size, size, rational))
+        return [[m[min(i, j)][max(i, j)] for j in range(size)] for i in range(size)]
+
+    def padded(block):
+        k = len(block)
+        return [[block[i][j] if i < k and j < k else 0 for j in range(n)] for i in range(n)]
+
+    if kind == "generic":
+        return generic(n)
+    if kind == "zero_diagonal":
+        mat = generic(n)
+        for i in range(n):
+            mat[i][i] = 0
+        return mat
+    if kind == "low_rank":
+        r = draw(st.integers(min_value=0, max_value=max(n - 1, 0)))
+        b = draw(matrices(r, n, rational))
+        d = draw(matrices(1, r, rational))[0]
+        return [[sum(b[k][i] * d[k] * b[k][j] for k in range(r)) for j in range(n)] for i in range(n)]
+    if kind == "zero_tail":
+        return padded(generic(draw(st.integers(min_value=0, max_value=n))))
+    planes = draw(st.integers(min_value=0, max_value=n // 2))
+    mat = padded(generic(n - 2 * planes))
+    for p in range(n - 2 * planes, n, 2):
+        mat[p][p + 1] = mat[p + 1][p] = draw(entries(rational).filter(bool))
+    perm = draw(st.permutations(range(n)))
+    return [[mat[perm[i]][perm[j]] for j in range(n)] for i in range(n)]
+
+
 def all_fractions(values) -> bool:
     return all(isinstance(x, Fraction) for x in values)
 
@@ -432,18 +515,35 @@ class TestBareissAgainstFractionReferences:
     """The fraction-free kernels equal Fraction Gaussian elimination."""
 
     @KERNEL_SETTINGS
-    @given(st.integers(min_value=0, max_value=5), st.booleans(), st.data())
-    def test_determinant(self, n, rational, data):
-        mat = data.draw(matrices(n, n, rational))
-        if data.draw(st.booleans()) and n > 1:  # singular: a repeated row
-            mat[-1] = list(mat[0])
+    @given(st.integers(min_value=0, max_value=6), st.booleans(), st.sampled_from(SYMMETRIC_KINDS), st.data())
+    def test_determinant(self, n, rational, kind, data):
+        mat = data.draw(symmetric_matrices(n, rational, kind))
         det = determinant(mat)
         assert det == fraction_determinant(mat)
         assert isinstance(det, Fraction)
+        if n and (kind == "low_rank" or not all(map(any, mat))):
+            assert det == 0
 
     def test_determinant_rejects_non_square_alike(self):
         mat = [[1, 2, 3], [4, 5, 6]]
         assert outcome(determinant, mat) == outcome(fraction_determinant, mat)
+
+    def test_determinant_rejects_asymmetric(self):
+        # the symmetric elimination takes symmetric input only
+        assert outcome(determinant, [[1, 2], [3, 4]]) == ("error", "matrix is not symmetric")
+
+    @KERNEL_SETTINGS
+    @given(st.integers(min_value=0, max_value=6), st.booleans(), st.sampled_from(SYMMETRIC_KINDS), st.data())
+    def test_inertia(self, n, rational, kind, data):
+        mat = data.draw(symmetric_matrices(n, rational, kind))
+        assert inertia(mat) == fraction_inertia(mat)
+
+    @pytest.mark.parametrize(
+        "mat", [[[1, 2, 3], [4, 5, 6]], [[0, 1], [2, 0]], [[1, 0, 0], [0, 1, 0], [0, Fraction(1, 2), 1]]]
+    )
+    def test_inertia_rejects_alike(self, mat):
+        assert outcome(inertia, mat) == outcome(fraction_inertia, mat)
+        assert outcome(inertia, mat)[0] == "error"
 
     @KERNEL_SETTINGS
     @given(
@@ -478,13 +578,15 @@ class TestBareissAgainstFractionReferences:
     @given(
         st.integers(min_value=0, max_value=5),
         st.booleans(),
-        st.sampled_from(["definite", "semidefinite", "symmetric"]),
+        st.sampled_from(["definite", "semidefinite", "symmetric", "hyperbolic", "zero_tail"]),
         st.data(),
     )
     def test_ldl(self, n, rational, kind, data):
         """Positive definite B^T B; singular or arbitrary symmetric input
         raises the same ValueError as the reference."""
-        if kind == "symmetric":
+        if kind in SYMMETRIC_KINDS:
+            mat = data.draw(symmetric_matrices(n, rational, kind))
+        elif kind == "symmetric":
             m = data.draw(matrices(n, n, rational))
             mat = [[m[i][j] + m[j][i] for j in range(n)] for i in range(n)]
         else:
