@@ -119,16 +119,15 @@ def load_input_document(path: str) -> InputDocument:
     targets = None
     level_cap = None
     options = raw.get("options", {})
-    if options:
-        if not isinstance(options, dict):
-            raise InputError("options: expected an object")
-        unknown = set(options) - _OPTION_FIELDS
-        if unknown:
-            raise InputError(f"options: unknown field(s) {sorted(unknown)}")
-        if "targets" in options:
-            targets = _parse_targets(options["targets"], "options.targets")
-        if "level_cap" in options:
-            level_cap = _as_int(options["level_cap"], "options.level_cap")
+    if not isinstance(options, dict):
+        raise InputError("options: expected an object")
+    unknown = set(options) - _OPTION_FIELDS
+    if unknown:
+        raise InputError(f"options: unknown field(s) {sorted(unknown)}")
+    if "targets" in options:
+        targets = _parse_targets(options["targets"], "options.targets")
+    if "level_cap" in options:
+        level_cap = _as_int(options["level_cap"], "options.level_cap")
     echo = {
         "picard_basis": [list(b) for b in basis],
         "g": list(g),
@@ -203,11 +202,7 @@ def cmd_walls(args) -> dict:
     doc = load_input_document(args.input)
     targets = _resolve_targets(doc, args)
     cap = _resolve_level_cap(doc, args)
-    try:
-        query = WallQuery(doc.picard, doc.g, m=doc.m, targets=targets, level_cap=cap)
-        walls = enumerate_walls(query)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    walls = enumerate_walls(WallQuery(doc.picard, doc.g, m=doc.m, targets=targets, level_cap=cap))
     return {
         "command": "walls",
         "input": doc.echo,
@@ -222,12 +217,7 @@ def cmd_ample(args) -> dict:
     if doc.m is None:
         raise InputError("field 'm' (the divisor under test) is required for 'ample'")
     targets = _resolve_targets(doc, args)
-    try:
-        verdict = is_ample(doc.picard, doc.g, doc.m, targets)
-    except PreconditionError:
-        raise
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    verdict = is_ample(doc.picard, doc.g, doc.m, targets)
     witnesses = []
     for wall in verdict.witnesses:
         payload = _wall_payload(doc.picard, wall)
@@ -249,12 +239,7 @@ def cmd_nef_threshold(args) -> dict:
     if doc.m is None:
         raise InputError("field 'm' (the divisor under test) is required for 'nef-threshold'")
     targets = _resolve_targets(doc, args)
-    try:
-        tau, walls = nef_threshold(doc.picard, doc.g, doc.m, targets)
-    except PreconditionError:
-        raise
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    tau, walls = nef_threshold(doc.picard, doc.g, doc.m, targets)
     return {
         "command": "nef-threshold",
         "input": doc.echo,
@@ -268,12 +253,9 @@ def cmd_classify(args) -> dict:
     rho = tuple(_as_int(x, f"--rho[{i}]") for i, x in enumerate(args.rho.split(",")))
     if len(rho) != AMBIENT_RANK:
         raise InputError(f"--rho: expected {AMBIENT_RANK} entries, got {len(rho)}")
-    try:
-        ray = classify_wall(rho)
-        square = bb_pair(rho, rho)
-        div = divisibility(rho)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    ray = classify_wall(rho)
+    square = bb_pair(rho, rho)
+    div = divisibility(rho)
     picard_coords = doc.picard.from_ambient(rho)
     return {
         "command": "classify",
@@ -429,12 +411,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(_join_target_flags(list(argv)))
     try:
         report = args.handler(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except PreconditionError as exc:
+    except PreconditionError as exc:  # a ValueError, so it goes first
         print(f"precondition failed: {exc}", file=sys.stderr)
         return 3
+    except (InputError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     try:
         if args.format == "json":
             print(json.dumps(report, indent=2))

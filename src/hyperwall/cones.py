@@ -18,7 +18,6 @@ from .enumeration import (
     WallClass,
     WallQuery,
     _collect_walls,
-    _SliceContext,
     _target_groups,
     _validate_targets,
     enumerate_walls,
@@ -132,17 +131,15 @@ def validate_polarization(picard: PicardLattice, g, targets=DEFAULT_TARGETS) -> 
     if picard.square(coords) <= 0:
         raise PreconditionError("g is not ample: (g, g) <= 0")
     groups = _target_groups(targets)
-    order = list(groups)
-    even = {square for square, divs in groups.items() if 1 not in divs}
-    orthogonal = _SliceContext(picard, coords).solutions(dict.fromkeys(groups, 0), first=0, even=even)
-    # report the first wall in target order, as the targets were given
-    for square, x in sorted(orthogonal, key=lambda hit: (order.index(hit[0]), hit[1])):
-        div = picard._divisibility(x)
-        if div in groups[square] and math.gcd(*x) == 1:
-            raise PreconditionError(
-                f"g is not ample: it is orthogonal to the wall {x} "
-                f"(square {square}, divisibility {div})"
-            )
+    walls = _collect_walls(picard, coords, None, groups, dict.fromkeys(groups, 0), first=0)
+    if walls:
+        # report the first wall in target order, as the targets were given
+        order = list(groups)
+        wall = min(walls, key=lambda w: (order.index(w.square), w.rho_picard))
+        raise PreconditionError(
+            f"g is not ample: it is orthogonal to the wall {wall.rho_picard} "
+            f"(square {wall.square}, divisibility {wall.div})"
+        )
 
 
 def _isotropic_level_cap(square: int, p: int, v: int) -> int:

@@ -79,9 +79,7 @@ class WallQuery:
         object.__setattr__(self, "g", tuple(self.g))
         if self.m is not None:
             object.__setattr__(self, "m", tuple(self.m))
-        object.__setattr__(
-            self, "targets", tuple((int(s), int(d)) for s, d in self.targets)
-        )
+        object.__setattr__(self, "targets", tuple((s, d) for s, d in self.targets))
 
 
 def _validate_query(q: WallQuery) -> None:
@@ -104,6 +102,9 @@ def _validate_targets(targets) -> None:
     if not targets:
         raise ValueError("at least one (square, div) target is required")
     for square, div in targets:
+        for x in (square, div):
+            if not isinstance(x, int) or isinstance(x, bool):
+                raise ValueError("wall targets must be pairs of plain integers")
         if square >= 0:
             raise ValueError("wall targets must have negative square")
         if div not in (1, 2):
@@ -122,13 +123,18 @@ def level_bound(picard: PicardLattice, g, m, square: int) -> int:
 
     Derived from Cauchy-Schwarz on the negative definite complement of g:
     k^2 * (m, m) <= -square * ((g, m)^2 - (m, m)(g, g)), which needs
-    (m, m) > 0; any other m raises ValueError.
+    (g, g) > 0, (m, m) > 0 and (g, m) > 0; any other g or m raises
+    ValueError.
     """
     v = picard.square(g)
     w = picard.square(m)
+    p = picard.pair(g, m)
+    if v <= 0:
+        raise ValueError("g must lie in the positive cone: (g, g) > 0 required")
     if w <= 0:
         raise ValueError("m must lie in the positive cone: (m, m) > 0 required")
-    p = picard.pair(g, m)
+    if p <= 0:
+        raise ValueError("m must lie in the same component of the positive cone as g")
     num = -square * (p * p - w * v)
     if num <= 0:
         return 0
@@ -158,8 +164,9 @@ class _SliceContext:
     outermost descent coordinate alone carries (x, m) beyond the constant
     part (k/d)(u, m), and solutions() clips it to the half-space
     (x, m) <= 0.  Only the rows before c_m are reduced; c_m and u stay
-    last and unchanged.  That coordinate is not clipped when it is also the
-    innermost one (rank 2), so callers still filter on (x, m).
+    last and unchanged.  When c_m is also the innermost coordinate (rank 2),
+    its exact-root hits are clipped the same way.  An m proportional to g
+    gets no slice, but level_bound then caps every level at 0.
 
     The descent itself runs in integers only (Fincke-Pohst with cleared
     denominators).  On the slice (x, g) = k = scale*d, writing
@@ -256,9 +263,8 @@ class _SliceContext:
         budget of the most negative square whose cap reaches it, and tests
         every such square at the innermost level.  A hit on a square in
         even is kept only if x has even divisibility; that congruence is
-        tested on t, before x is built.  A context built with m leaves out
-        vectors with (x, m) > 0 wherever it can clip (see the class
-        docstring).
+        tested on t, before x is built.  A context built with m (not
+        proportional to g) leaves out every x with (x, m) > 0.
         """
         found: list[tuple[int, tuple[int, ...]]] = []
         d, nk, q_num, q_den = self.d, len(self.kernel), self.q_num, self.q_den
@@ -299,6 +305,8 @@ class _SliceContext:
                     continue
                 # (x, m) = scale*(u, m) + m_step*t[top] <= 0  <=>  t[top] < top_stop
                 top_stop = (-scale * self.u_m) // self.m_step + 1 if self.m_step else None
+                # with nk == 1 the clipped coordinate is t[0], fixed by the root
+                stop0 = top_stop if top == 0 else None
                 i, remaining = top, budget
                 while True:
                     if i:
@@ -329,6 +337,8 @@ class _SliceContext:
                                 for v in (n0 + root, n0 - root) if root else (n0,):
                                     if v % den0 == 0:
                                         t[0] = v // den0
+                                        if stop0 is not None and t[0] >= stop0:
+                                            continue
                                         if not (parity and self._odd(t)):
                                             found.append((s, tuple(sum(map(mul, col, t)) for col in columns)))
                         i = 2
@@ -352,23 +362,25 @@ def slice_solutions(picard: PicardLattice, g, k: int, square: int) -> list[tuple
     """Lattice vectors on the affine slice (x, g) = k with the given square."""
     if k < 1:
         raise ValueError("slice level k must be at least 1")
-    return [x for _, x in _SliceContext(picard, tuple(g)).solutions({square: k}, first=k)]
+    g = tuple(g)
+    if picard.square(g) <= 0:
+        raise ValueError("g must lie in the positive cone: (g, g) > 0 required")
+    return [x for _, x in _SliceContext(picard, g).solutions({square: k}, first=k)]
 
 
-def _collect_walls(picard: PicardLattice, g, m, groups, caps) -> list[WallClass]:
-    """Primitive walls with (rho, m) <= 0, sorted, for already checked input.
+def _collect_walls(picard: PicardLattice, g, m, groups, caps, first: int = 1) -> list[WallClass]:
+    """Primitive walls with first <= (rho, g) <= caps[square], sorted.
 
-    caps maps each target square to its largest level (rho, g); groups
-    maps it to the admissible divisibilities.  m needs no positive square
-    here, only (m, g) > 0, so an isotropic m slices the descent as well.
+    The package's one wall filter, for already checked input: caps maps
+    each target square to its largest level (rho, g), groups maps it to
+    the admissible divisibilities.  With m the context's clip keeps only
+    (rho, m) <= 0; m needs no positive square here, only (m, g) > 0, so an
+    isotropic m slices the descent as well.  first=0 with caps of 0 gives
+    the walls orthogonal to g.
     """
-    wm = picard._gram_times(m) if m is not None else None
     even = {square for square, divs in groups.items() if 1 not in divs}
     walls: list[WallClass] = []
-    for square, x in _SliceContext(picard, g, m).solutions(caps, even=even):
-        # the context's clip misses rank 2 and m proportional to g
-        if wm is not None and _dot(x, wm) > 0:
-            continue
+    for square, x in _SliceContext(picard, g, m).solutions(caps, first, even):
         div = picard._divisibility(x)
         if div in groups[square] and gcd(*x) == 1:
             walls.append(WallClass(x, picard._to_ambient(x), square, div))

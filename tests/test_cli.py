@@ -265,6 +265,19 @@ class TestInputValidation:
         assert code == 2
         assert "bogus" in err
 
+    @pytest.mark.parametrize("options", [None, [], 0, False, ""], ids=repr)
+    def test_non_object_options_rejected(self, capsys, tmp_path, options):
+        path = tmp_path / "opt.json"
+        path.write_text(json.dumps(dict(RANK2_DOC, options=options)))
+        code, out, err = run(capsys, "walls", "--input", str(path))
+        assert (code, out) == (2, "")
+        assert "options: expected an object" in err
+
+    def test_empty_options_accepted(self, capsys, tmp_path):
+        path = tmp_path / "opt.json"
+        path.write_text(json.dumps(dict(RANK2_DOC, options={})))
+        assert run(capsys, "walls", "--input", str(path))[0] == 0
+
     def test_wrong_vector_length(self, capsys, tmp_path):
         doc = {"picard_basis": [[1, 2, 3]], "g": [1]}
         path = tmp_path / "short.json"

@@ -20,7 +20,7 @@ from hyperwall import lattice as lattice_module
 from lattice_fixtures import DELTA, FIXTURE_G, H, LAMBDA_PLANE, rank2_picard
 
 
-BAD_TARGETS = [((-2, 3),), (), ((2, 1),)]
+BAD_TARGETS = [((-2, 3),), (), ((2, 1),), ((-2.5, 2),), ((-2, True),), ((-2, 1.0),)]
 
 
 def segment_class(t_num, t_den, m, g):

@@ -29,6 +29,11 @@ from lattice_fixtures import (
 )
 
 
+def picard_e1_f1_delta():
+    # Gram [[0, 1, 0], [1, 0, 0], [0, 0, -2]]: signature (1, 2)
+    return PicardLattice([basis_vector("e1"), basis_vector("f1"), DELTA])
+
+
 def picard_rank3_diag():
     # Gram diag(4, -2, -2) with a divisibility-2 generator
     return PicardLattice(
@@ -85,6 +90,13 @@ class TestSliceSolutions:
         # sliced along m = e2+f2, the indefinite direction is the unreduced c_m
         with pytest.raises(ValueError, match="not negative definite"):
             _SliceContext(pic, (1, 0, 0), (0, 0, 1))
+
+    @pytest.mark.parametrize("g", [(1, -1, 0), (0, 0, 1), (1, 0, 0)])
+    def test_g_outside_the_positive_cone_rejected(self, g):
+        # squares -2, -2 and 0 on a hyperbolic lattice: g is at fault, not
+        # the Picard data
+        with pytest.raises(ValueError, match=r"g must lie in the positive cone: \(g, g\) > 0 required"):
+            slice_solutions(picard_e1_f1_delta(), g, 1, -2)
 
     def test_matches_direct_scan(self):
         pic = picard_rank3_diag()
@@ -213,6 +225,20 @@ class TestHalfSpacePruning:
             m = tuple(factor * c for c in g)
             assert _SliceContext(pic, g, m).m_step == 0
             assert enumerate_walls(WallQuery(pic, g, m=m)) == []
+
+    def test_rank_two_clip_leaves_no_hit_past_m(self):
+        # with one kernel coordinate the clipped coordinate is the one the
+        # exact root fixes; its hits must respect (x, m) <= 0 as well
+        rng = random.Random(5)
+        hits = 0
+        for _ in range(200):
+            pic = random_hyperbolic_picard(rng, 2)
+            g, m = random_polarized_pair(rng, pic)
+            caps = {square: level_bound(pic, g, m, square) for square in (-2, -10)}
+            found = _SliceContext(pic, g, m).solutions(caps)
+            assert all(pic.pair(x, m) <= 0 for _, x in found)
+            hits += len(found)
+        assert hits == 88
 
     @pytest.mark.parametrize("rank,count", [(5, 9), (6, 21), (7, 41)])
     def test_ladder_wall_counts(self, rank, count):
@@ -410,6 +436,13 @@ class TestQueryValidation:
                 WallQuery(rank2_picard(), FIXTURE_G, m=(1, 0), targets=((-2, 3),))
             )
 
+    @pytest.mark.parametrize("targets", [((-2.5, 2),), ((-2, True),), ((-2, 1.0),), ((True, 1),)])
+    def test_non_integer_target(self, targets):
+        query = WallQuery(rank2_picard(), FIXTURE_G, m=(1, 0), targets=targets)
+        assert query.targets == targets
+        with pytest.raises(ValueError, match="plain integers"):
+            enumerate_walls(query)
+
 
 class TestLevelBound:
     def test_bound_is_necessary(self):
@@ -431,6 +464,23 @@ class TestLevelBound:
         # the Gram is diag(2, -2): (1, 1) has square 0 and (0, 1) square -2
         with pytest.raises(ValueError, match=r"m must lie in the positive cone: \(m, m\) > 0 required"):
             level_bound(rank2_picard(), FIXTURE_G, m, -2)
+
+    @pytest.mark.parametrize(
+        "g,m,message",
+        [
+            ((1, -1, 0), (1, 1, 0), r"g must lie in the positive cone: \(g, g\) > 0 required"),
+            ((0, 0, 1), (1, 1, 0), r"g must lie in the positive cone: \(g, g\) > 0 required"),
+            ((1, 1, 0), (-1, -1, 0), "m must lie in the same component of the positive cone as g"),
+        ],
+        ids=["g-square-minus-two", "g-orthogonal-to-m", "m-other-component"],
+    )
+    def test_g_or_component_outside_the_bound_rejected(self, g, m, message):
+        # the Cauchy-Schwarz bound holds only for (g, g), (m, m), (g, m) > 0
+        pic = picard_e1_f1_delta()
+        with pytest.raises(ValueError, match=message):
+            level_bound(pic, g, m, -2)
+        with pytest.raises(ValueError, match=message):
+            enumerate_walls(WallQuery(pic, g, m=m))
 
 
 class TestBruteForceOracle:
