@@ -165,13 +165,13 @@ def is_ample(picard: PicardLattice, g, m, targets=DEFAULT_TARGETS) -> AmpleVerdi
     validate_polarization(picard, gcoords, targets)
     coords = tuple(m)
     mm = picard.square(coords)
-    mg = picard.pair(coords, gcoords)
+    mg = picard._pair(coords, gcoords)
     if mm < 0 or mg <= 0:
         return AmpleVerdict(AmpleStatus.NOT_POSITIVE, (), False)
     if mm == 0:
         # WallQuery demands (m, m) > 0; the isotropic m still slices the
         # descent, so the walls are collected directly under their caps.
-        gg = picard.square(gcoords)
+        gg = picard._pair(gcoords, gcoords)
         groups = _target_groups(targets)
         caps = {square: _isotropic_level_cap(square, mg, gg) for square in groups}
         witnesses = _collect_walls(picard, gcoords, coords, groups, caps)
@@ -202,7 +202,7 @@ def nef_threshold(
     coords = tuple(m)
     if picard.square(coords) <= 0:
         raise PreconditionError("nef_threshold requires (m, m) > 0")
-    if picard.pair(coords, gcoords) <= 0:
+    if picard._pair(coords, gcoords) <= 0:
         raise PreconditionError("nef_threshold requires (m, g) > 0")
     query = WallQuery(picard, gcoords, m=coords, targets=tuple(targets))
     walls = enumerate_walls(query)

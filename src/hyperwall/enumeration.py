@@ -39,11 +39,12 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt
 from operator import mul
 
 from .lattice import PicardLattice
 from .rational_linalg import (
+    _cleared,
     integer_interval,
     integral_lll,
     ldl_positive,
@@ -82,29 +83,51 @@ class WallQuery:
         object.__setattr__(self, "targets", tuple((s, d) for s, d in self.targets))
 
 
-def _validate_query(q: WallQuery) -> None:
-    pic = q.picard
-    if not pic.is_hyperbolic():
-        raise ValueError("Picard lattice must have signature (1, rank-1)")
-    if pic.square(q.g) <= 0:
+def _plain_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _positive_cone(picard: PicardLattice, g, m=None) -> tuple[int, int | None, int | None]:
+    """Check (g, g) > 0, then (m, m) > 0, then (g, m) > 0; return the three.
+
+    The public entries' one check of g and m (gram_times validates each
+    vector); without m the last two are None.
+    """
+    g_gram = picard.gram_times(g)
+    gg = _dot(g, g_gram)
+    if gg <= 0:
         raise ValueError("g must lie in the positive cone: (g, g) > 0 required")
-    if q.m is not None:
-        if pic.square(q.m) <= 0:
-            raise ValueError("m must lie in the positive cone: (m, m) > 0 required")
-        if pic.pair(q.m, q.g) <= 0:
-            raise ValueError("m must lie in the same component of the positive cone as g")
+    if m is None:
+        return gg, None, None
+    m_gram = picard.gram_times(m)
+    mm = _dot(m, m_gram)
+    if mm <= 0:
+        raise ValueError("m must lie in the positive cone: (m, m) > 0 required")
+    gm = _dot(g, m_gram)
+    if gm <= 0:
+        raise ValueError("m must lie in the same component of the positive cone as g")
+    return gg, mm, gm
+
+
+def _validate_query(q: WallQuery) -> tuple[int, int | None, int | None]:
+    if not q.picard.is_hyperbolic():
+        raise ValueError("Picard lattice must have signature (1, rank-1)")
+    pairings = _positive_cone(q.picard, q.g, q.m)
     _validate_targets(q.targets)
-    if q.level_cap is not None and q.level_cap < 0:
-        raise ValueError("level_cap must be nonnegative")
+    if q.level_cap is not None:
+        if not _plain_int(q.level_cap):
+            raise ValueError("level_cap must be a plain integer")
+        if q.level_cap < 0:
+            raise ValueError("level_cap must be nonnegative")
+    return pairings
 
 
 def _validate_targets(targets) -> None:
     if not targets:
         raise ValueError("at least one (square, div) target is required")
     for square, div in targets:
-        for x in (square, div):
-            if not isinstance(x, int) or isinstance(x, bool):
-                raise ValueError("wall targets must be pairs of plain integers")
+        if not (_plain_int(square) and _plain_int(div)):
+            raise ValueError("wall targets must be pairs of plain integers")
         if square >= 0:
             raise ValueError("wall targets must have negative square")
         if div not in (1, 2):
@@ -126,23 +149,18 @@ def level_bound(picard: PicardLattice, g, m, square: int) -> int:
     (g, g) > 0, (m, m) > 0 and (g, m) > 0; any other g or m raises
     ValueError.
     """
-    v = picard.square(g)
-    w = picard.square(m)
-    p = picard.pair(g, m)
-    if v <= 0:
-        raise ValueError("g must lie in the positive cone: (g, g) > 0 required")
-    if w <= 0:
-        raise ValueError("m must lie in the positive cone: (m, m) > 0 required")
-    if p <= 0:
-        raise ValueError("m must lie in the same component of the positive cone as g")
-    num = -square * (p * p - w * v)
-    if num <= 0:
-        return 0
-    return isqrt(num // w)
+    if m is None:
+        raise ValueError("level_bound needs a second positive class m")
+    return _level_cap(square, *_positive_cone(picard, g, m))
+
+
+def _level_cap(square: int, gg: int, mm: int, gm: int) -> int:
+    """level_bound from the pairings of an already checked g and m."""
+    return isqrt(max(0, -square * (gm * gm - mm * gg)) // mm)
 
 
 def _dot(a, b) -> int:
-    return sum(x * y for x, y in zip(a, b))
+    return sum(map(mul, a, b))
 
 
 def _combine(coeffs, rows) -> list[int]:
@@ -166,7 +184,7 @@ class _SliceContext:
     (x, m) <= 0.  Only the rows before c_m are reduced; c_m and u stay
     last and unchanged.  When c_m is also the innermost coordinate (rank 2),
     its exact-root hits are clipped the same way.  An m proportional to g
-    gets no slice, but level_bound then caps every level at 0.
+    gets no slice, but its level caps are then 0.
 
     The descent itself runs in integers only (Fincke-Pohst with cleared
     denominators).  On the slice (x, g) = k = scale*d, writing
@@ -190,11 +208,11 @@ class _SliceContext:
 
     def __init__(self, picard: PicardLattice, g, m=None):
         self.picard = picard
-        w = picard.gram_times(g)
+        w = picard._gram_times(g)
         self.d, self.u, self.kernel = linear_form_basis(w)
         self.m_step = self.u_m = 0
         if m is not None:
-            wm = picard.gram_times(m)
+            wm = picard._gram_times(m)
             restricted = [_dot(b, wm) for b in self.kernel]
             # m proportional to g leaves (., m) zero on the kernel: no slice
             if any(restricted):
@@ -227,19 +245,12 @@ class _SliceContext:
             p_base[i] + sum((coef[i][j] * p_base[j] for j in range(i + 1, nk)), Fraction(0))
             for i in range(nk)
         ]
-        self.denoms = [
-            lcm(centre[i].denominator, *(x.denominator for x in coef[i][i + 1:]))
-            for i in range(nk)
-        ]
-        level_weights = [di / (den * den) for di, den in zip(dvec, self.denoms)]
-        self.q_den = lcm(*(x.denominator for x in level_weights + [q_base]))
-        self.weights = [int(x * self.q_den) for x in level_weights]
-        self.q_num = int(q_base * self.q_den)
         # coef is strictly upper triangular, so row i reads only t_j, j > i
-        self.centre_rows = [
-            [-int(coef[i][j] * den) for j in range(nk)] + [int(centre[i] * den)]
-            for i, den in enumerate(self.denoms)
-        ]
+        cleared = [_cleared([*(-c for c in coef[i]), centre[i]]) for i in range(nk)]
+        self.denoms = [den for den, _ in cleared]
+        self.centre_rows = [row for _, row in cleared]
+        level_weights = [di / (den * den) for di, den in zip(dvec, self.denoms)]
+        self.q_den, (*self.weights, self.q_num) = _cleared([*level_weights, q_base])
         # x = columns . (t_0, ..., t_{nk-1}, scale), one column per coordinate
         self.columns = [list(col) for col in zip(*self.kernel, self.u)]
 
@@ -363,8 +374,7 @@ def slice_solutions(picard: PicardLattice, g, k: int, square: int) -> list[tuple
     if k < 1:
         raise ValueError("slice level k must be at least 1")
     g = tuple(g)
-    if picard.square(g) <= 0:
-        raise ValueError("g must lie in the positive cone: (g, g) > 0 required")
+    _positive_cone(picard, g)
     return [x for _, x in _SliceContext(picard, g).solutions({square: k}, first=k)]
 
 
@@ -396,24 +406,19 @@ def enumerate_walls(query: WallQuery) -> list[WallClass]:
     level_cap is required, and the result is then complete up to
     (rho, g) <= level_cap.
     """
-    _validate_query(query)
-    picard = query.picard
+    gg, mm, gm = _validate_query(query)
+    cap = query.level_cap
+    if query.m is None and cap is None:
+        raise ValueError(
+            "the wall set is only finite against a second positive class: "
+            "supply m or an explicit level_cap"
+        )
     groups = _target_groups(query.targets)
     caps = {}
-    for square in sorted(groups):
-        if query.m is not None:
-            kmax = level_bound(picard, query.g, query.m, square)
-            if query.level_cap is not None:
-                kmax = min(kmax, query.level_cap)
-        elif query.level_cap is not None:
-            kmax = query.level_cap
-        else:
-            raise ValueError(
-                "the wall set is only finite against a second positive class: "
-                "supply m or an explicit level_cap"
-            )
-        caps[square] = kmax
-    return _collect_walls(picard, query.g, query.m, groups, caps)
+    for square in groups:
+        bound = cap if query.m is None else _level_cap(square, gg, mm, gm)
+        caps[square] = bound if cap is None else min(bound, cap)
+    return _collect_walls(query.picard, query.g, query.m, groups, caps)
 
 
 def _python_scan(picard, g, m, cap, box, squares) -> list[tuple[int, ...]]:

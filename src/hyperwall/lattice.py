@@ -253,11 +253,7 @@ class PicardLattice:
         return self._pair(_as_vector(x, self.rank), _as_vector(y, self.rank))
 
     def _pair(self, x, y) -> int:
-        return sum(
-            x[i] * sum(self.gram[i][j] * y[j] for j in range(self.rank) if y[j])
-            for i in range(self.rank)
-            if x[i]
-        )
+        return sum(map(mul, x, self._gram_times(y)))
 
     def square(self, x) -> int:
         vx = _as_vector(x, self.rank)
@@ -267,9 +263,7 @@ class PicardLattice:
         return self._gram_times(_as_vector(x, self.rank))
 
     def _gram_times(self, x) -> tuple[int, ...]:
-        return tuple(
-            sum(row[j] * x[j] for j in range(self.rank)) for row in self.gram
-        )
+        return tuple(sum(map(mul, row, x)) for row in self.gram)
 
     def to_ambient(self, x) -> tuple[int, ...]:
         return self._to_ambient(_as_vector(x, self.rank))

@@ -7,12 +7,17 @@ from hyperwall import (
     PicardLattice,
     PreconditionError,
     WallKind,
+    WallQuery,
     basis_vector,
+    brute_force_walls,
     classify_square_div,
     classify_wall,
     detect_isotropic_boundary,
+    enumerate_walls,
     is_ample,
+    level_bound,
     nef_threshold,
+    slice_solutions,
     validate_polarization,
     vector_from_labels,
 )
@@ -340,3 +345,62 @@ class TestIsotropicDetection:
         assert detect_isotropic_boundary(pic, (2, 0)) is False
         assert detect_isotropic_boundary(pic, (2, 2)) is False  # imprimitive
         assert detect_isotropic_boundary(pic, (0, 0)) is False
+
+
+# Each public entry on the worked rank-2 lattice, called as f(pic, g, m).
+ENTRIES = {
+    "enumerate_walls": lambda pic, g, m: enumerate_walls(WallQuery(pic, g, m=m)),
+    "brute_force_walls": lambda pic, g, m: brute_force_walls(WallQuery(pic, g, m=m), 3),
+    "level_bound": lambda pic, g, m: level_bound(pic, g, m, -2),
+    "slice_solutions": lambda pic, g, m: slice_solutions(pic, g, 2, -2),
+    "validate_polarization": lambda pic, g, m: validate_polarization(pic, g),
+    "is_ample": is_ample,
+    "nef_threshold": nef_threshold,
+}
+TAKE_M = ["enumerate_walls", "brute_force_walls", "level_bound", "is_ample", "nef_threshold"]
+# Each would pass the positive-cone checks if its entries went unchecked.
+MALFORMED_G = {"wrong-length": (3, -1, 0), "float": (3.0, -1), "bool": (True, 0)}
+MALFORMED_M = {"wrong-length": (2, 1, 0), "float": (2.0, 1), "bool": (True, 0)}
+
+
+class TestBoundaryValidation:
+    """Public entries check g and m once; the package runs unchecked inside."""
+
+    @pytest.mark.parametrize(
+        "entry,allowed",
+        [
+            ("enumerate_walls", {2}),
+            ("level_bound", {2}),
+            ("is_ample", range(5)),
+            ("nef_threshold", range(5)),
+        ],
+    )
+    def test_vectors_checked_once_per_call(self, monkeypatch, entry, allowed):
+        calls = 0
+        original = lattice_module._as_vector
+
+        def counted(v, length):
+            nonlocal calls
+            calls += 1
+            return original(v, length)
+
+        pic = rank2_picard()
+        monkeypatch.setattr(lattice_module, "_as_vector", counted)
+        ENTRIES[entry](pic, FIXTURE_G, (2, 1))
+        assert calls in allowed
+
+    @pytest.mark.parametrize("g", MALFORMED_G.values(), ids=MALFORMED_G)
+    @pytest.mark.parametrize("entry", ENTRIES)
+    def test_malformed_g_rejected(self, entry, g):
+        with pytest.raises(ValueError):
+            ENTRIES[entry](rank2_picard(), g, (2, 1))
+
+    @pytest.mark.parametrize("m", MALFORMED_M.values(), ids=MALFORMED_M)
+    @pytest.mark.parametrize("entry", TAKE_M)
+    def test_malformed_m_rejected(self, entry, m):
+        with pytest.raises(ValueError):
+            ENTRIES[entry](rank2_picard(), FIXTURE_G, m)
+
+    def test_level_bound_needs_m(self):
+        with pytest.raises(ValueError):
+            level_bound(rank2_picard(), FIXTURE_G, None, -2)

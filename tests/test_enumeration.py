@@ -18,7 +18,7 @@ from hyperwall import (
 )
 from hyperwall import enumeration
 from hyperwall.enumeration import DEFAULT_TARGETS, _SliceContext
-from hyperwall.rational_linalg import solve_exact
+from hyperwall.rational_linalg import ldl_positive, solve_exact
 from lattice_fixtures import (
     DELTA,
     FIXTURE_G,
@@ -343,6 +343,28 @@ class TestIntegerKernel:
             self.check_slices(pic, g)
             self.check_slices(pic, g, m)
 
+    def test_context_integers_are_the_cleared_ldl_data(self):
+        """Recompute the LDL data of each context test-side: the integers of
+        the descent clear it exactly, each level with its smallest denominator."""
+        rng = random.Random(5)
+        for rank in (2, 3, 4, 5) * 3:
+            pic = random_hyperbolic_picard(rng, rank)
+            g, m = random_polarized_pair(rng, pic)
+            for ctx in (_SliceContext(pic, g), _SliceContext(pic, g, m)):
+                kernel, u, nk = ctx.kernel, ctx.u, len(ctx.kernel)
+                neg_gram = [[-pic.pair(a, b) for b in kernel] for a in kernel]
+                base = [pic.pair(u, b) for b in kernel]
+                dvec, coef = ldl_positive(neg_gram)
+                p_base = solve_exact(neg_gram, base)
+                q_base = pic.square(u) + sum(p * b for p, b in zip(p_base, base))
+                assert ctx.q_num == q_base * ctx.q_den
+                for i in range(nk):
+                    den, row = ctx.denoms[i], ctx.centre_rows[i]
+                    assert ctx.weights[i] * den**2 == dvec[i] * ctx.q_den
+                    centre = p_base[i] + sum(coef[i][j] * p_base[j] for j in range(i + 1, nk))
+                    assert row == [-den * c for c in coef[i]] + [den * centre]
+                    assert gcd(den, *row) == 1
+
     @pytest.mark.parametrize(
         "g,m,level_cap,most",
         [
@@ -442,6 +464,14 @@ class TestQueryValidation:
         assert query.targets == targets
         with pytest.raises(ValueError, match="plain integers"):
             enumerate_walls(query)
+
+    @pytest.mark.parametrize("level_cap", [2.5, 60.0, True])
+    def test_non_integer_level_cap(self, level_cap):
+        query = WallQuery(rank2_picard(), FIXTURE_G, targets=((-10, 2),), level_cap=level_cap)
+        with pytest.raises(ValueError, match="level_cap must be a plain integer"):
+            enumerate_walls(query)
+        with pytest.raises(ValueError, match="level_cap must be a plain integer"):
+            brute_force_walls(query, 5)
 
 
 class TestLevelBound:
