@@ -18,6 +18,7 @@ from .enumeration import (
     WallClass,
     WallQuery,
     _collect_walls,
+    _query_caps,
     _target_groups,
     _validate_targets,
     enumerate_walls,
@@ -196,6 +197,11 @@ def nef_threshold(
     together with the wall(s) whose hyperplane is hit at tau.  tau = 1 when
     no wall separates m from g; walls orthogonal to m itself then witness
     the boundary crossing exactly at t = 1.
+
+    Unlike enumerate_walls, the walk does not collect every wall: each
+    wall it finds bounds the walk to walls crossing no later, so only
+    the part of the wall set toward the first crossing is searched.  The
+    bound is inclusive, so every wall at tau is found.
     """
     gcoords = tuple(g)
     validate_polarization(picard, gcoords, targets)
@@ -205,7 +211,8 @@ def nef_threshold(
     if picard._pair(coords, gcoords) <= 0:
         raise PreconditionError("nef_threshold requires (m, g) > 0")
     query = WallQuery(picard, gcoords, m=coords, targets=tuple(targets))
-    walls = enumerate_walls(query)
+    groups, caps, pairings = _query_caps(query)
+    walls = _collect_walls(picard, gcoords, coords, groups, caps, nearest=pairings)
     if not walls:
         return Fraction(1), ()
     crossings = []

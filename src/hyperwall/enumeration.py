@@ -28,6 +28,15 @@ square against what is left of that budget.  A square whose targets allow
 divisibility 2 only keeps a hit only if the divisibility forms are even on
 it: a test mod 2 on the descent coordinates, made before x is built.
 
+The nef threshold needs only the walls the segment from g to m crosses
+first, at t = (x, g)/((x, g) - (x, m)).  Its walk keeps the least crossing
+a/b of the walls found so far, starting at 1/1, and tightens both
+finiteness bounds to it: the half-space clip becomes
+(x, m) <= -ceil(k(b - a)/a) at level k, and the Cauchy-Schwarz level cap
+is taken for crossings up to a/b instead of up to 1.  enumerate_walls
+and is_ample still walk the whole half-space, since they return every
+wall.
+
 All arithmetic in the enumerator is exact, and the descent itself uses
 integers only; the brute-force oracle uses vectorized int64 scans guarded
 against overflow, and only it needs numpy.
@@ -145,12 +154,14 @@ def level_bound(picard: PicardLattice, g, m, square: int) -> int:
     """Largest level k = (rho, g) a wall with (rho, m) <= 0 can reach.
 
     Derived from Cauchy-Schwarz on the negative definite complement of g:
-    k^2 * (m, m) <= -square * ((g, m)^2 - (m, m)(g, g)), which needs
-    (g, g) > 0, (m, m) > 0 and (g, m) > 0; any other g or m raises
-    ValueError.
+    k^2 * (m, m) <= -square * ((g, m)^2 - (m, m)(g, g)), which needs a
+    Picard lattice of signature (1, rank-1) and (g, g) > 0, (m, m) > 0
+    and (g, m) > 0; anything else raises ValueError.
     """
     if m is None:
         raise ValueError("level_bound needs a second positive class m")
+    if not picard.is_hyperbolic():
+        raise ValueError("Picard lattice must have signature (1, rank-1)")
     return _level_cap(square, *_positive_cone(picard, g, m))
 
 
@@ -266,7 +277,9 @@ class _SliceContext:
         """Whether x = columns . t has odd divisibility."""
         return any(sum(map(mul, row, t)) & 1 for row in self._parity_rows)
 
-    def solutions(self, caps, first: int = 1, even=frozenset()) -> list[tuple[int, tuple[int, ...]]]:
+    def solutions(
+        self, caps, first: int = 1, even=frozenset(), nearest=None
+    ) -> list[tuple[int, tuple[int, ...]]]:
         """Every (square, x) with (x, x) = square and first <= (x, g) <= caps[square].
 
         caps maps each target square to its largest level; the result is
@@ -276,11 +289,29 @@ class _SliceContext:
         even is kept only if x has even divisibility; that congruence is
         tested on t, before x is built.  A context built with m (not
         proportional to g) leaves out every x with (x, m) > 0.
+
+        nearest = (groups, (g, g), (m, m), (g, m)) walks only toward the
+        first wall the segment from g to m crosses.  With k = (x, g) and
+        j = (x, m), x crosses it at k/(k - j); a/b, the smallest crossing
+        of a hit that is a wall (primitive, its divisibility in
+        groups[square]), starts at 1/1.  The clip becomes
+        j <= -ceil(k(b - a)/a), and the walk stops at the first level k
+        where Cauchy-Schwarz leaves no x of the walked squares that far
+        out.  Both bounds are inclusive, so every wall crossing at the
+        final a/b is returned; hits farther out may be returned too.
         """
         found: list[tuple[int, tuple[int, ...]]] = []
         d, nk, q_num, q_den = self.d, len(self.kernel), self.q_num, self.q_den
         denoms, weights, rows, columns = self.denoms, self.weights, self.centre_rows, self.columns
         top = nk - 1
+        u_m, m_step = self.u_m, self.m_step
+        a = b = 1
+        if nearest is not None:
+            groups, gg, mm, gm = nearest
+            disc = gm * gm - mm * gg
+            # an m proportional to g has no clip to tighten (and caps of 0)
+            if not m_step:
+                nearest = None
         den0, w0 = (denoms[0], weights[0]) if nk else (1, 1)
         # with nk == 1 the only level is the innermost: it is entered as one
         # step of a level-1 loop of weight 0 that writes the spare slot
@@ -306,6 +337,12 @@ class _SliceContext:
                 budget = scale * scale * q_num - low * q_den
                 if budget < 0:
                     continue
+                if nearest is not None:
+                    # Cauchy-Schwarz on the complement of g: no x of a walked
+                    # square at this level or beyond crosses by a/b
+                    c = b - a
+                    if (scale * d) ** 2 * (mm * a * a + 2 * gm * a * c + gg * c * c) > -low * disc * a * a:
+                        break
                 t[nk] = scale
                 if nk == 0:
                     x = tuple(scale * c for c in self.u)
@@ -314,8 +351,9 @@ class _SliceContext:
                         if budget == off and not (parity and self._odd(t))
                     )
                     continue
-                # (x, m) = scale*(u, m) + m_step*t[top] <= 0  <=>  t[top] < top_stop
-                top_stop = (-scale * self.u_m) // self.m_step + 1 if self.m_step else None
+                # (x, m) = scale*(u, m) + m_step*t[top] <= -ceil(k(b - a)/a)
+                # <=>  t[top] < top_stop, with k = scale*d
+                top_stop = ((-scale * d * (b - a)) // a - scale * u_m) // m_step + 1 if m_step else None
                 # with nk == 1 the clipped coordinate is t[0], fixed by the root
                 stop0 = top_stop if top == 0 else None
                 i, remaining = top, budget
@@ -350,8 +388,24 @@ class _SliceContext:
                                         t[0] = v // den0
                                         if stop0 is not None and t[0] >= stop0:
                                             continue
-                                        if not (parity and self._odd(t)):
-                                            found.append((s, tuple(sum(map(mul, col, t)) for col in columns)))
+                                        if parity and self._odd(t):
+                                            continue
+                                        x = tuple(sum(map(mul, col, t)) for col in columns)
+                                        found.append((s, x))
+                                        if nearest is None:
+                                            continue
+                                        # a wall crossing before a/b tightens the bound
+                                        k, j = scale * d, scale * u_m + m_step * t[top]
+                                        if k * b < a * (k - j) and gcd(*x) == 1 and (
+                                            self.picard._divisibility(x) in groups[s]
+                                        ):
+                                            a, b = k, k - j
+                                            # at this scale the clip is now t[top] <= its
+                                            # value (a rank-3 level-1 loop runs its range out)
+                                            if top:
+                                                stops[top] = t[top] + 1
+                                            else:
+                                                stop0 = t[0] + 1
                         i = 2
                     # the next t at the innermost level that has one left
                     while i < nk:
@@ -378,7 +432,9 @@ def slice_solutions(picard: PicardLattice, g, k: int, square: int) -> list[tuple
     return [x for _, x in _SliceContext(picard, g).solutions({square: k}, first=k)]
 
 
-def _collect_walls(picard: PicardLattice, g, m, groups, caps, first: int = 1) -> list[WallClass]:
+def _collect_walls(
+    picard: PicardLattice, g, m, groups, caps, first: int = 1, nearest=None
+) -> list[WallClass]:
     """Primitive walls with first <= (rho, g) <= caps[square], sorted.
 
     The package's one wall filter, for already checked input: caps maps
@@ -386,11 +442,15 @@ def _collect_walls(picard: PicardLattice, g, m, groups, caps, first: int = 1) ->
     the admissible divisibilities.  With m the context's clip keeps only
     (rho, m) <= 0; m needs no positive square here, only (m, g) > 0, so an
     isotropic m slices the descent as well.  first=0 with caps of 0 gives
-    the walls orthogonal to g.
+    the walls orthogonal to g.  nearest = ((g, g), (m, m), (g, m)) walks
+    only toward the first crossing (see _SliceContext.solutions): the
+    result then holds every wall crossed first, and maybe some others.
     """
     even = {square for square, divs in groups.items() if 1 not in divs}
+    if nearest is not None:
+        nearest = (groups, *nearest)
     walls: list[WallClass] = []
-    for square, x in _SliceContext(picard, g, m).solutions(caps, first, even):
+    for square, x in _SliceContext(picard, g, m).solutions(caps, first, even, nearest):
         div = picard._divisibility(x)
         if div in groups[square] and gcd(*x) == 1:
             walls.append(WallClass(x, picard._to_ambient(x), square, div))
@@ -406,7 +466,14 @@ def enumerate_walls(query: WallQuery) -> list[WallClass]:
     level_cap is required, and the result is then complete up to
     (rho, g) <= level_cap.
     """
-    gg, mm, gm = _validate_query(query)
+    groups, caps, _ = _query_caps(query)
+    return _collect_walls(query.picard, query.g, query.m, groups, caps)
+
+
+def _query_caps(query: WallQuery):
+    """Check the query; return its target groups, the level cap of each
+    square and the pairings (g, g), (m, m), (g, m)."""
+    pairings = _validate_query(query)
     cap = query.level_cap
     if query.m is None and cap is None:
         raise ValueError(
@@ -416,9 +483,9 @@ def enumerate_walls(query: WallQuery) -> list[WallClass]:
     groups = _target_groups(query.targets)
     caps = {}
     for square in groups:
-        bound = cap if query.m is None else _level_cap(square, gg, mm, gm)
+        bound = cap if query.m is None else _level_cap(square, *pairings)
         caps[square] = bound if cap is None else min(bound, cap)
-    return _collect_walls(query.picard, query.g, query.m, groups, caps)
+    return groups, caps, pairings
 
 
 def _python_scan(picard, g, m, cap, box, squares) -> list[tuple[int, ...]]:

@@ -1,4 +1,4 @@
-"""Smoke test: every demo script runs to completion."""
+"""Smoke test: every demo script runs to completion; demo 02 prints what it printed before."""
 
 import os
 import subprocess
@@ -16,12 +16,26 @@ DEMOS = [
 ]
 
 
+# demo 02's whole output: walls, slices, verdicts and the nef-threshold walk
+DEMO_02_OUTPUT = Path(__file__).resolve().parent / "demo_02_walls_and_ample_cone.out"
+
+
+def run_demo(demo, cwd):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    return subprocess.run(
+        [sys.executable, str(ROOT / "demos" / demo)],
+        cwd=cwd, env=env, capture_output=True, timeout=120,
+    )
+
+
 @pytest.mark.parametrize("demo", DEMOS)
 def test_demo_exits_cleanly(demo, tmp_path):
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    done = subprocess.run(
-        [sys.executable, str(ROOT / "demos" / demo)],
-        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
-    )
-    assert done.returncode == 0, done.stderr
+    done = run_demo(demo, tmp_path)
+    assert done.returncode == 0, done.stderr.decode()
     assert done.stdout
+
+
+def test_demo_02_output_is_unchanged(tmp_path):
+    done = run_demo("02_walls_and_ample_cone.py", tmp_path)
+    assert done.returncode == 0, done.stderr.decode()
+    assert done.stdout == DEMO_02_OUTPUT.read_bytes()

@@ -13,6 +13,7 @@ from hyperwall import (
     divisibility,
     enumerate_walls,
     level_bound,
+    nef_threshold,
     slice_solutions,
     vector_from_labels,
 )
@@ -418,6 +419,28 @@ class TestIntegerKernel:
         # 470 candidates when every hit was returned
         assert len(candidates) == len(walls) == 216
 
+    def test_nef_threshold_walks_only_toward_the_first_wall(self, monkeypatch):
+        """L(5): the bounded walk of nef_threshold makes a fraction of the
+        interval solves of the full walk; both find the wall (0, 1, 0, 2, 0)
+        at 1/2 first."""
+        calls = 0
+        interval = enumeration.integer_interval
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return interval(*args)
+
+        pic, g, m = ladder_picard(5), (16, 4, -5, -4, 4), (3, 4, 0, 0, 0)
+        monkeypatch.setattr(enumeration, "integer_interval", counted)
+        walls = enumerate_walls(WallQuery(pic, g, m=m))
+        assert calls == 909
+        calls = 0
+        tau, achieving = nef_threshold(pic, g, m)
+        assert calls <= 100
+        assert tau == Fraction(1, 2)
+        assert achieving == tuple(w for w in walls if w.rho_picard == (0, 1, 0, 2, 0))
+
 
 class TestPrimitivity:
     def test_non_primitive_target_class_is_not_a_wall(self):
@@ -488,6 +511,16 @@ class TestLevelBound:
     def test_parallel_classes_give_zero(self):
         pic = rank2_picard()
         assert level_bound(pic, FIXTURE_G, FIXTURE_G, -2) == 0
+
+    def test_non_hyperbolic_picard_rejected(self):
+        # Gram diag(2, 2, -2), signature (2, 1): the Cauchy-Schwarz bound
+        # does not hold.  (2, -2, 3) has square -2, (rho, g) = 4 and
+        # (rho, m) = 0, past the 0 that the bound formula gives.
+        pic = PicardLattice([H, vector_from_labels({"e2": 1, "f2": 1}), DELTA])
+        rho, g, m = (2, -2, 3), (1, 0, 0), (1, 1, 0)
+        assert (pic.square(rho), pic.pair(rho, g), pic.pair(rho, m)) == (-2, 4, 0)
+        with pytest.raises(ValueError, match="signature"):
+            level_bound(pic, g, m, -2)
 
     @pytest.mark.parametrize("m", [(1, 1), (0, 1)], ids=["isotropic", "negative"])
     def test_m_outside_the_positive_cone_rejected(self, m):

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 from math import gcd
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -18,6 +19,7 @@ from hyperwall import (
     level_bound,
     nef_threshold,
     validate_polarization,
+    vector_from_labels,
 )
 from hyperwall.enumeration import DEFAULT_TARGETS, _SliceContext
 from lattice_fixtures import cofactor_det, random_hyperbolic_picard, random_polarized_pair
@@ -28,6 +30,9 @@ seeds = st.integers(min_value=0, max_value=2**32 - 1)
 ranks = st.integers(min_value=2, max_value=4)
 # three squares in one walk, each with its own level cap
 MIXED_TARGETS = ((-2, 1), (-6, 2), (-10, 2))
+# twice a (-2) class of divisibility 1 has square -8 and divisibility 2: a
+# hit of the (-8, 2) walk that is not primitive, hence not a wall
+NON_PRIMITIVE_TARGETS = ((-8, 2), (-10, 2))
 
 
 def nonzero_vectors(rank):
@@ -207,3 +212,75 @@ class TestSegmentVerdicts:
         if tau < 1:  # the threshold itself lies on a wall
             a, b = tau.numerator, tau.denominator - tau.numerator
             assert segment_verdict(pic, g, m, a, b) is AmpleStatus.NEF_BOUNDARY
+
+
+def first_crossing(pic, g, m, targets=DEFAULT_TARGETS):
+    """The nef threshold by definition: the least crossing k/(k - j),
+    k = (rho, g), j = (rho, m), over every wall, and the walls at it."""
+    walls = enumerate_walls(WallQuery(pic, g, m=m, targets=targets))
+    crossings = {}
+    for wall in walls:
+        k, j = pic.pair(wall.rho_picard, g), pic.pair(wall.rho_picard, m)
+        crossings[wall] = Fraction(k, k - j)
+    tau = min(crossings.values(), default=Fraction(1))
+    return tau, tuple(w for w in walls if crossings[w] == tau)
+
+
+class TestBoundedNefThreshold:
+    """nef_threshold walks only toward the first wall, yet finds what the
+    full wall list gives."""
+
+    @PROPERTY_SETTINGS
+    @given(st.data())
+    def test_equals_the_first_crossing_of_the_full_walk(self, data):
+        rank = data.draw(st.integers(min_value=2, max_value=5))
+        rng = random.Random(data.draw(seeds))
+        pic = random_hyperbolic_picard(rng, rank)
+        g, m = random_polarized_pair(rng, pic, coeff=data.draw(st.sampled_from([2, 3, 5])))
+        targets = data.draw(st.sampled_from([DEFAULT_TARGETS, MIXED_TARGETS, NON_PRIMITIVE_TARGETS]))
+        try:
+            validate_polarization(pic, g, targets)
+        except PreconditionError:
+            return
+        assert nef_threshold(pic, g, m, targets) == first_crossing(pic, g, m, targets)
+
+    @pytest.mark.parametrize(
+        "basis,g,m,targets,tau,count",
+        [
+            # a tie at tau = 1/2 between a wall at (rho, g) = 2 and one at 4
+            (
+                [{"e1": 1, "f1": 9}, {"E8a_2": 1}, {"e2": 1, "f2": -1},
+                 {"E8b_5": 1, "E8b_6": 1}, {"e3": 1, "f3": -3}],
+                (3, -1, 1, -2, -3), (3, -3, -1, 2, -1), DEFAULT_TARGETS, Fraction(1, 2), 2,
+            ),
+            # four walls tie at 2/3, at (rho, g) = 4, 8, 12 and 20; those past
+            # the first lie on the Cauchy-Schwarz bound of the last level
+            (
+                [{"e1": 1, "f1": 8}, {"e2": 1, "f2": -2}, {"E8b_3": 1},
+                 {"e2": 2, "f2": -2, "delta": 1}],
+                (-3, 0, -3, 2), (-2, 0, -2, -1), DEFAULT_TARGETS, Fraction(2, 3), 4,
+            ),
+            # tau = 1: the one wall the segment meets is orthogonal to m
+            (
+                [{"e1": 1, "f1": 4}, {"e2": 1, "f2": -2}, {"e3": 2, "f3": -2, "delta": 1}],
+                (3, 0, 1), (2, -1, 0), DEFAULT_TARGETS, Fraction(1), 1,
+            ),
+            # rank 2: the clipped coordinate is the one the exact root fixes
+            ([{"e1": 1, "f1": 7}, {"E8a_7": 1}], (-3, -1), (-1, 1), DEFAULT_TARGETS, Fraction(1, 2), 1),
+            # (-8, 2) hits that are twice a (-2) class cross first; they are
+            # no walls and must not cut off the (-10, 2) wall at 7/9
+            (
+                [{"e1": 1, "f1": 7}, {"delta": 1}, {"e2": 1, "f2": -1, "delta": 1},
+                 {"E8a_7": 1}, {"e3": 1, "f3": -3}],
+                (3, -2, 1, -3, -1), (3, 3, 3, -2, -1), NON_PRIMITIVE_TARGETS, Fraction(7, 9), 1,
+            ),
+        ],
+        ids=["tie", "tie-on-the-level-bound", "tau-one-orthogonal-to-m", "rank-two", "non-primitive-hits"],
+    )
+    def test_explicit_cases(self, basis, g, m, targets, tau, count):
+        pic = PicardLattice([vector_from_labels(labels) for labels in basis])
+        expected = first_crossing(pic, g, m, targets)
+        assert expected[0] == tau and len(expected[1]) == count
+        assert nef_threshold(pic, g, m, targets) == expected
+        if tau == 1:
+            assert all(pic.pair(w.rho_picard, m) == 0 for w in expected[1])
