@@ -13,7 +13,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .cohomology import lagrangian_eliminant, lagrangian_solver
@@ -77,14 +77,10 @@ def _parse_targets(value, where: str) -> tuple[tuple[int, int], ...]:
     return tuple(out)
 
 
-@dataclass
-class InputDocument:
-    picard: PicardLattice
-    g: tuple[int, ...]
-    m: tuple[int, ...] | None
-    targets: tuple[tuple[int, int], ...] | None
-    level_cap: int | None
-    echo: dict
+class InputDocument(namedtuple("InputDocument", "picard g m targets level_cap echo")):
+    """A parsed input file; m, targets and level_cap are None when absent."""
+
+    __slots__ = ()
 
 
 def load_input_document(path: str) -> InputDocument:

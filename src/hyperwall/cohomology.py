@@ -9,7 +9,7 @@ and expanding it would risk double counting against user tensors.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 from math import isqrt
 
@@ -43,28 +43,28 @@ def fujiki_check(a) -> bool:
     return quad_product(a, a, a, a) == 3 * bb_pair(a, a) ** 2
 
 
-@dataclass(frozen=True)
-class MiddleClass:
+class MiddleClass(namedtuple("MiddleClass", "basis tensor qdual_coeff")):
     """A middle-cohomology class: a symmetric tensor over a chosen divisor
     basis plus a formal coefficient of the dual class q."""
 
-    basis: tuple[tuple[int, ...], ...]
-    tensor: tuple[tuple[Fraction, ...], ...]
-    qdual_coeff: Fraction = field(default_factory=lambda: Fraction(0))
+    __slots__ = ()
 
-    def __post_init__(self):
-        basis = tuple(_as_vector(b, AMBIENT_RANK) for b in self.basis)
+    def __new__(cls, basis, tensor, qdual_coeff=Fraction(0)):
+        basis = tuple(_as_vector(b, AMBIENT_RANK) for b in basis)
         n = len(basis)
-        tensor = tuple(tuple(Fraction(x) for x in row) for row in self.tensor)
+        tensor = tuple(tuple(Fraction(x) for x in row) for row in tensor)
         if len(tensor) != n or any(len(row) != n for row in tensor):
             raise ValueError("tensor shape must match the basis length")
         for i in range(n):
             for j in range(i):
                 if tensor[i][j] != tensor[j][i]:
                     raise ValueError("tensor must be symmetric")
-        object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "tensor", tensor)
-        object.__setattr__(self, "qdual_coeff", Fraction(self.qdual_coeff))
+        return super().__new__(cls, basis, tensor, Fraction(qdual_coeff))
+
+    @classmethod
+    def _make(cls, iterable):
+        # _replace goes through _make: keep the validation
+        return cls(*iterable)
 
     @property
     def has_tensor_part(self) -> bool:
@@ -127,14 +127,10 @@ def middle_pair(x: MiddleClass, y: MiddleClass) -> Fraction:
     return total
 
 
-@dataclass(frozen=True)
-class PlaneSolution:
+class PlaneSolution(namedtuple("PlaneSolution", "lambda_square a b admissible")):
     """One exact solution (lambda_square, a, b) of the plane-class system."""
 
-    lambda_square: Fraction
-    a: Fraction
-    b: Fraction
-    admissible: bool
+    __slots__ = ()
 
     def residuals(self) -> tuple[Fraction, Fraction, Fraction]:
         """The three defining equations, each moved to one side; all zero."""

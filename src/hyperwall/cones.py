@@ -9,7 +9,7 @@ class whose effectivity is the conjectural half of the criterion).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 from fractions import Fraction
 
@@ -51,11 +51,10 @@ class AmpleStatus(str, Enum):
 PROVEN_STATUSES = frozenset({AmpleStatus.AMPLE, AmpleStatus.NOT_POSITIVE})
 
 
-@dataclass(frozen=True)
-class AmpleVerdict:
-    status: AmpleStatus
-    witnesses: tuple[WallClass, ...]
-    isotropic_flag: bool
+class AmpleVerdict(namedtuple("AmpleVerdict", "status witnesses isotropic_flag")):
+    """status: an AmpleStatus; witnesses: a tuple of WallClass; isotropic_flag: bool."""
+
+    __slots__ = ()
 
     @property
     def certainty(self) -> str:
@@ -70,13 +69,12 @@ class WallKind(str, Enum):
     INADMISSIBLE = "inadmissible"
 
 
-@dataclass(frozen=True)
-class RayType:
-    kind: WallKind
-    dual_square: Fraction
-    #: possible values of D.C on the contracted curve; the lattice data
-    #: genuinely underdetermines the choice for divisorial_half.
-    dc_values: tuple[int, ...]
+class RayType(namedtuple("RayType", "kind dual_square dc_values")):
+    """kind: a WallKind; dual_square: a Fraction; dc_values: the possible
+    values of D.C on the contracted curve (the lattice data genuinely
+    underdetermines the choice for divisorial_half)."""
+
+    __slots__ = ()
 
 
 def classify_square_div(square: int, div: int) -> RayType:

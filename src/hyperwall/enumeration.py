@@ -45,7 +45,7 @@ against overflow, and only it needs numpy.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
 from fractions import Fraction
 from math import gcd, isqrt
@@ -67,29 +67,31 @@ DEFAULT_TARGETS: tuple[tuple[int, int], ...] = ((-2, 1), (-2, 2), (-10, 2))
 _MAX_GRID_CHUNK = 4_000_000
 
 
-@dataclass(frozen=True)
-class WallClass:
+class WallClass(namedtuple("WallClass", "rho_picard rho_ambient square div")):
     """One oriented wall: coordinates in both systems plus its invariants."""
 
-    rho_picard: tuple[int, ...]
-    rho_ambient: tuple[int, ...]
-    square: int
-    div: int
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class WallQuery:
-    picard: PicardLattice
-    g: tuple[int, ...]
-    m: tuple[int, ...] | None = None
-    targets: tuple[tuple[int, int], ...] = DEFAULT_TARGETS
-    level_cap: int | None = None
+class WallQuery(namedtuple("WallQuery", "picard g m targets level_cap")):
+    """An enumeration request; g, m and targets are stored as tuples."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "g", tuple(self.g))
-        if self.m is not None:
-            object.__setattr__(self, "m", tuple(self.m))
-        object.__setattr__(self, "targets", tuple((s, d) for s, d in self.targets))
+    __slots__ = ()
+
+    def __new__(cls, picard, g, m=None, targets=DEFAULT_TARGETS, level_cap=None):
+        return super().__new__(
+            cls,
+            picard,
+            tuple(g),
+            None if m is None else tuple(m),
+            tuple((s, d) for s, d in targets),
+            level_cap,
+        )
+
+    @classmethod
+    def _make(cls, iterable):
+        # _replace goes through _make: keep the tuple normalization
+        return cls(*iterable)
 
 
 def _plain_int(x) -> bool:

@@ -10,8 +10,8 @@ abstract Gram matrix alone.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from operator import mul
@@ -60,21 +60,38 @@ def _negated_e8_cartan() -> list[list[int]]:
     return block
 
 
-@dataclass(frozen=True)
 class AmbientLattice:
-    """An integral lattice given by its Gram matrix in a fixed basis."""
+    """An integral lattice given by its Gram matrix in a fixed basis.
 
-    gram: tuple[tuple[int, ...], ...]
-    basis_labels: tuple[str, ...]
+    Immutable; two instances are equal when their gram and basis_labels are.
+    """
 
-    def __post_init__(self):
-        check_symmetric(self.gram)
-        if len(self.basis_labels) != len(self.gram):
+    def __init__(self, gram: tuple[tuple[int, ...], ...], basis_labels: tuple[str, ...]):
+        check_symmetric(gram)
+        if len(basis_labels) != len(gram):
             raise ValueError("one basis label per Gram row is required")
-        nonzero = tuple(
-            tuple((j, x) for j, x in enumerate(row) if x) for row in self.gram
-        )
-        object.__setattr__(self, "_nonzero_rows", nonzero)
+        nonzero = tuple(tuple((j, x) for j, x in enumerate(row) if x) for row in gram)
+        set_field = object.__setattr__
+        set_field(self, "gram", gram)
+        set_field(self, "basis_labels", basis_labels)
+        set_field(self, "_nonzero_rows", nonzero)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self):
+        return f"AmbientLattice(gram={self.gram!r}, basis_labels={self.basis_labels!r})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.gram, self.basis_labels) == (other.gram, other.basis_labels)
+
+    def __hash__(self):
+        return hash((self.gram, self.basis_labels))
 
     @property
     def rank(self) -> int:
@@ -178,13 +195,10 @@ def admissible_square_div(square: int, div: int) -> bool:
     return square % 8 == 6
 
 
-@dataclass(frozen=True)
-class CurveClass:
+class CurveClass(namedtuple("CurveClass", "numerator denominator square")):
     """A dual class rho / div with half-integral square."""
 
-    numerator: tuple[int, ...]
-    denominator: int
-    square: Fraction
+    __slots__ = ()
 
 
 def dual_class(rho) -> CurveClass:

@@ -12,10 +12,10 @@ solve_exact runs Bareiss Gauss-Jordan on the augmented rows.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from fractions import Fraction
 from math import isqrt, lcm
 from operator import mul
-from typing import Sequence
 
 
 def check_symmetric(mat) -> None:

@@ -486,6 +486,25 @@ class TestStartup:
         )
         assert done.stdout.strip() == "False"
 
+    def test_import_loads_no_heavy_modules(self):
+        # dataclasses alone pulls in inspect, ast, dis and tokenize; module
+        # sets are deterministic, so this pins startup cost without timing it
+        heavy = ["dataclasses", "inspect", "ast", "dis", "tokenize", "numpy", "typing"]
+        src = str(Path(hyperwall.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=src)
+        show = f"import sys; print(*[m for m in {heavy!r} if m in sys.modules])"
+
+        def loaded(code):
+            done = subprocess.run(
+                [sys.executable, "-c", f"{code}; {show}"],
+                env=env, capture_output=True, text=True, check=True,
+            )
+            return done.stdout.split()
+
+        bare = loaded("pass")  # site may load typing through a .pth file
+        assert set(bare) <= {"typing"}
+        assert loaded("import hyperwall, hyperwall.cli") == bare
+
 
 class TestClosedStdout:
     def test_reader_closing_early_gets_no_traceback(self, tmp_path):
