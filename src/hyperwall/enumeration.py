@@ -24,9 +24,18 @@ budget grows as the square gets more negative, so the ellipsoid of a less
 negative square lies inside that of a more negative one at the same level.
 Each level is therefore walked once, with the budget of the most negative
 square whose level cap reaches it, and the innermost level tests every such
-square against what is left of that budget.  A square whose targets allow
-divisibility 2 only keeps a hit only if the divisibility forms are even on
-it: a test mod 2 on the descent coordinates, made before x is built.
+square against what is left of that budget.
+
+A square whose targets allow divisibility 2 only needs x with even
+divisibility, and that congruence prunes every node of the walk, not only
+the hit.  Even divisibility is linear mod 2 in the descent coordinates
+t = (t_0, ..., t_{nk-1}, scale): with P_j the divisibility forms mod 2 on
+column j, the node that fixes t_i, ..., scale has a completion of even
+divisibility exactly when sum_{j >= i} t_j P_j lies in
+span(P_0, ..., P_{i-1}).  In GF(2) coordinates adapted to these nested
+spans that is one XOR and one shift per node.  A node that fails walks on
+with the budget of the most negative square that allows divisibility 1, or
+is dropped when there is none.
 
 The nef threshold needs only the walls the segment from g to m crosses
 first, at t = (x, g)/((x, g) - (x, m)).  Its walk keeps the least crossing
@@ -46,7 +55,6 @@ from __future__ import annotations
 
 import itertools
 from collections import namedtuple
-from functools import cached_property
 from fractions import Fraction
 from math import gcd, isqrt
 from operator import mul
@@ -215,8 +223,10 @@ class _SliceContext:
     The right-hand side is largest for the most negative square, and a
     second square s needs (s - s_low)*q_den less of it.  solutions() walks
     each scale with the largest budget of the squares it asks for there
-    (they change only where a scale passes a cap).  Level 1 is a plain loop
-    that tests level 0 exactly for each such square, its offset taken off.
+    (they change only where a scale passes a cap), or of those that allow
+    odd divisibility below a node that cannot complete to even divisibility
+    (see _parity).  Level 1 is a plain loop that tests level 0 exactly for
+    each such square, its offset taken off.
     """
 
     def __init__(self, picard: PicardLattice, g, m=None):
@@ -267,17 +277,37 @@ class _SliceContext:
         # x = columns . (t_0, ..., t_{nk-1}, scale), one column per coordinate
         self.columns = [list(col) for col in zip(*self.kernel, self.u)]
 
-    @cached_property
-    def _parity_rows(self) -> list[list[int]]:
-        # the divisibility forms on t, mod 2; built on the first hit that
-        # needs them, so calls without one skip it
-        cols = list(zip(*self.columns))
-        rows = ([sum(map(mul, f, c)) & 1 for c in cols] for f in self.picard._divisibility_forms)
-        return [row for row in rows if any(row)]
+    def _parity(self) -> tuple[list[int], list[int]]:
+        """GF(2) data of the descent coordinates t = (t_0, ..., t_{nk-1}, scale).
 
-    def _odd(self, t) -> bool:
-        """Whether x = columns . t has odd divisibility."""
-        return any(sum(map(mul, row, t)) & 1 for row in self._parity_rows)
+        P_j, the divisibility forms mod 2 on column j, written in a basis of
+        their span picked greedily from P_0, P_1, ...: then
+        V_i = span(P_0, ..., P_{i-1}) holds exactly the vectors below bit
+        rho[i].  Returns (Q, rho): Q[j] is P_j in that basis (with a 0 for
+        the spare slot), rho[i] = dim V_i for i <= nk.  Only a walk with an
+        even-only square needs it.
+        """
+        masks = self.picard._parity_masks
+        reduced: list[tuple[int, int, int]] = []  # (vector, its coordinates, pivot bit)
+        coords, rho = [], []
+        for col in (*self.kernel, self.u):
+            p = 0
+            for c, mask in zip(col, masks):
+                if c & 1:
+                    p ^= mask
+            rho.append(len(reduced))
+            q = 0
+            for vec, vq, pivot in reduced:
+                if p & pivot:
+                    p ^= vec
+                    q ^= vq
+            if p:
+                bit = 1 << len(reduced)
+                reduced.append((p, q ^ bit, p & -p))
+                q = bit
+            coords.append(q)
+        coords.append(0)
+        return coords, rho
 
     def solutions(
         self, caps, first: int = 1, even=frozenset(), nearest=None
@@ -288,9 +318,12 @@ class _SliceContext:
         sorted.  One call walks each scale (x, g) = scale*d once, with the
         budget of the most negative square whose cap reaches it, and tests
         every such square at the innermost level.  A hit on a square in
-        even is kept only if x has even divisibility; that congruence is
-        tested on t, before x is built.  A context built with m (not
-        proportional to g) leaves out every x with (x, m) > 0.
+        even is kept only if x has even divisibility.  That congruence is
+        tested mod 2 at every node: below a node whose fixed coordinates
+        cannot complete to even divisibility the walk goes on with the
+        budget of the lowest square not in even, or stops when there is
+        none.  A context built with m (not proportional to g) leaves out
+        every x with (x, m) > 0.
 
         nearest = (groups, (g, g), (m, m), (g, m)) walks only toward the
         first wall the segment from g to m crosses.  With k = (x, g) and
@@ -325,6 +358,11 @@ class _SliceContext:
         # reads the spare slot t[nk + 1].
         t = [0] * (nk + 2)
         centres, entered, stops = [0] * nk, [0] * nk, [0] * nk
+        # res[i] is the parity residue sum_{j >= i} t_j Q_j of the current
+        # node at level i, or -1 once it has no even completion (its budget
+        # is then shifted, and so is that of every node below it)
+        res = [0] * (nk + 1)
+        gf2 = self._parity() if not even.isdisjoint(caps) else None
         start = -(-first // d)
         # the squares a scale asks for change only where it passes a cap
         for cap in sorted(set(caps.values())):
@@ -335,6 +373,17 @@ class _SliceContext:
             low = squares[0]
             # square s leaves (s - low)*q_den less budget than the lowest one
             leaves = [(s, (s - low) * q_den, s in even) for s in squares]
+            # without an even-only square every node passes: all residues 0
+            if even.isdisjoint(squares):
+                coords, rho = [0] * (nk + 2), [0] * (nk + 1)
+            else:
+                coords, rho = gf2
+            q1, rho1 = coords[slot], rho[1] if nk else 0
+            # a node with no even completion walks on with the budget of the
+            # lowest square that allows divisibility 1, or not at all
+            odd_leaves = [leaf for leaf in leaves if not leaf[2]]
+            shift = odd_leaves[0][1] if odd_leaves else None
+            shifted_leaves = [(s, off - shift, False) for s, off, _ in odd_leaves]
             for scale in range(start, end):
                 budget = scale * scale * q_num - low * q_den
                 if budget < 0:
@@ -345,14 +394,20 @@ class _SliceContext:
                     c = b - a
                     if (scale * d) ** 2 * (mm * a * a + 2 * gm * a * c + gg * c * c) > -low * disc * a * a:
                         break
-                t[nk] = scale
+                r = coords[nk] if scale & 1 else 0
+                if r >> rho[nk]:
+                    if shift is None or budget < shift:
+                        continue
+                    budget -= shift
+                    r = -1
                 if nk == 0:
                     x = tuple(scale * c for c in self.u)
+                    # rho[0] = 0: a scale that passed has r == 0, even x
                     found.extend(
-                        (s, x) for s, off, parity in leaves
-                        if budget == off and not (parity and self._odd(t))
+                        (s, x) for s, off, _ in (shifted_leaves if r < 0 else leaves) if budget == off
                     )
                     continue
+                t[nk], res[nk] = scale, r
                 # (x, m) = scale*(u, m) + m_step*t[top] <= -ceil(k(b - a)/a)
                 # <=>  t[top] < top_stop, with k = scale*d
                 top_stop = ((-scale * d * (b - a)) // a - scale * u_m) // m_step + 1 if m_step else None
@@ -371,12 +426,26 @@ class _SliceContext:
                     if i > 1:
                         centres[i], entered[i], stops[i], t[i] = n, remaining, stop, lo - 1
                     else:
+                        # the level-1 node's residue and squares depend on
+                        # t1 only through its parity
+                        r_even = res[i + 1]
+                        if r_even < 0:
+                            r_odd = r_even
+                            walk_even = walk_odd = shifted_leaves
+                        else:
+                            r_odd = r_even ^ q1
+                            walk_even = odd_leaves if r_even >> rho1 else leaves
+                            walk_odd = odd_leaves if r_odd >> rho1 else leaves
                         for t1 in range(lo, stop):
+                            if t1 & 1:
+                                r1, walked = r_odd, walk_odd
+                            else:
+                                r1, walked = r_even, walk_even
                             e = t1 * den1 - n
                             left = remaining - w1 * e * e
                             # level 0: each square's budget must be consumed
                             # exactly, so solve for t[0] instead of walking
-                            for s, off, parity in leaves:
+                            for s, off, parity in walked:
                                 q, r = divmod(left - off, w0)
                                 if q < 0:
                                     break
@@ -390,7 +459,8 @@ class _SliceContext:
                                         t[0] = v // den0
                                         if stop0 is not None and t[0] >= stop0:
                                             continue
-                                        if parity and self._odd(t):
+                                        # an even-only square needs r == 0 at the leaf
+                                        if parity and ((r1 ^ coords[0]) if t[0] & 1 else r1):
                                             continue
                                         x = tuple(sum(map(mul, col, t)) for col in columns)
                                         found.append((s, x))
@@ -409,17 +479,29 @@ class _SliceContext:
                                             else:
                                                 stop0 = t[0] + 1
                         i = 2
-                    # the next t at the innermost level that has one left
+                    # the next node at the innermost level that has one left;
+                    # a node with no even completion is skipped or shifted
                     while i < nk:
                         t[i] += 1
-                        if t[i] < stops[i]:
-                            break
-                        i += 1
+                        if t[i] >= stops[i]:
+                            i += 1
+                            continue
+                        e = t[i] * denoms[i] - centres[i]
+                        remaining = entered[i] - weights[i] * e * e
+                        r = res[i + 1]
+                        if r >= 0:
+                            if t[i] & 1:
+                                r ^= coords[i]
+                            if r >> rho[i]:
+                                if shift is None or remaining < shift:
+                                    continue
+                                remaining -= shift
+                                r = -1
+                        res[i] = r
+                        i -= 1
+                        break
                     else:
                         break
-                    e = t[i] * denoms[i] - centres[i]
-                    remaining = entered[i] - weights[i] * e * e
-                    i -= 1
             start = end
         found.sort()
         return found

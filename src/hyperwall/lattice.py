@@ -251,9 +251,9 @@ class PicardLattice:
                 f"Picard basis spans a sublattice of index {index} in its "
                 "saturation; supply a basis of the saturated lattice"
             )
-        self.gram = tuple(
-            tuple(ambient.pair(x, y) for y in self.basis) for x in self.basis
-        )
+        # one ambient Gram product per basis row; the rows are already checked
+        rows = [ambient._gram_times(x) for x in self.basis]
+        self.gram = tuple(tuple(sum(map(mul, row, y)) for y in self.basis) for row in rows)
         # the nonzero (index, value) pairs of each basis row, for _to_ambient
         self._nonzero_basis = tuple(
             tuple((i, bi) for i, bi in enumerate(b) if bi) for b in self.basis
@@ -305,6 +305,16 @@ class PicardLattice:
         # built on first use, so lattices that never filter walls skip it
         reduced = column_reduce([self.ambient._gram_times(b) for b in self.basis])
         return [[row[c] for row in reduced] for c in range(self.rank)]
+
+    @cached_property
+    def _parity_masks(self) -> list[int]:
+        # bit f of entry a is coefficient a of divisibility form f, mod 2:
+        # x has even divisibility exactly when the masks of its odd
+        # coordinates XOR to 0
+        forms = self._divisibility_forms
+        return [
+            sum((form[a] & 1) << f for f, form in enumerate(forms)) for a in range(self.rank)
+        ]
 
     def from_ambient(self, v) -> tuple[Fraction, ...] | None:
         """Rational Picard coordinates of an ambient vector, or None."""

@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import random
+from math import gcd
 
-from hyperwall import PicardLattice, basis_vector, vector_from_labels
+from hyperwall import PicardLattice, basis_vector, level_bound, vector_from_labels
+from hyperwall.enumeration import _SliceContext
 
 # The worked rank-2 lattice: h = e1 + f1 (square 2) and delta (square -2),
 # with Gram diag(2, -2).
@@ -90,3 +92,31 @@ def random_polarized_pair(rng: random.Random, pic: PicardLattice, coeff: int = 3
             m = tuple(-x for x in m)
         if pic.pair(m, g) > 0:
             return g, m
+
+
+# targets whose squares are div-2 only, div-1 only or both, in one walk
+PRUNING_TARGETS = (
+    ((-2, 1), (-2, 2), (-10, 2)),
+    ((-2, 1), (-8, 2), (-10, 2)),
+    ((-2, 2), (-8, 2), (-10, 2)),
+    ((-2, 1), (-10, 2)),
+    ((-10, 2),),
+)
+
+
+def unpruned_walls(pic, g, m, targets, level_cap=None):
+    """Picard coordinates of the walls, sorted, from the walk that prunes
+    nothing by parity (no even-only square), filtered afterwards by
+    divisibility and primitivity."""
+    groups: dict[int, set[int]] = {}
+    for square, div in targets:
+        groups.setdefault(square, set()).add(div)
+    caps = {}
+    for square in groups:
+        bound = level_cap if m is None else level_bound(pic, g, m, square)
+        caps[square] = bound if level_cap is None else min(bound, level_cap)
+    walls = []
+    for square, x in _SliceContext(pic, g, m).solutions(caps, 1, frozenset()):
+        if pic._divisibility(x) in groups[square] and gcd(*x) == 1:
+            walls.append(x)
+    return sorted(walls)

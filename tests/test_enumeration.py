@@ -23,10 +23,12 @@ from hyperwall.rational_linalg import ldl_positive, solve_exact
 from lattice_fixtures import (
     DELTA,
     FIXTURE_G,
+    PRUNING_TARGETS,
     H,
     rank2_picard,
     random_hyperbolic_picard,
     random_polarized_pair,
+    unpruned_walls,
 )
 
 
@@ -188,9 +190,12 @@ def one_slice(ctx, k, square):
 
 
 def ladder_picard(rank):
-    """L(r) = span(e1+2f1, delta, E8a_1 .. E8a_{r-2})."""
+    """L(r) = span(e1+2f1, delta, E8a_1 .. E8a_8, E8b_1 .. E8b_8, e2-f2, e3-f3),
+    cut after its first r vectors."""
     basis = [vector_from_labels({"e1": 1, "f1": 2}), DELTA]
-    basis += [basis_vector(f"E8a_{i}") for i in range(1, rank - 1)]
+    basis += [basis_vector(f"E8{half}_{i}") for half in "ab" for i in range(1, 9)]
+    basis += [vector_from_labels({"e2": 1, "f2": -1}), vector_from_labels({"e3": 1, "f3": -1})]
+    basis = basis[:rank]
     return PicardLattice(basis)
 
 
@@ -394,8 +399,10 @@ class TestIntegerKernel:
 
 
     def test_odd_hits_on_even_squares_never_leave_the_walk(self, monkeypatch):
-        """Capped L(5): the (-10) hits of odd divisibility are dropped at the
-        hit, so every candidate is a wall, on the same tree."""
+        """Capped L(5): a (-10) branch whose hits would all have odd
+        divisibility is dropped at its first node, so every candidate is a
+        wall; the tree made 844 interval solves when they were dropped at
+        the hit."""
         calls = 0
         interval = enumeration.integer_interval
 
@@ -415,7 +422,7 @@ class TestIntegerKernel:
         monkeypatch.setattr(enumeration, "integer_interval", counted)
         monkeypatch.setattr(_SliceContext, "solutions", recorded)
         walls = enumerate_walls(WallQuery(ladder_picard(5), (16, 4, -5, -4, 4), level_cap=160))
-        assert calls == 844
+        assert calls == 691
         # 470 candidates when every hit was returned
         assert len(candidates) == len(walls) == 216
 
@@ -434,12 +441,53 @@ class TestIntegerKernel:
         pic, g, m = ladder_picard(5), (16, 4, -5, -4, 4), (3, 4, 0, 0, 0)
         monkeypatch.setattr(enumeration, "integer_interval", counted)
         walls = enumerate_walls(WallQuery(pic, g, m=m))
-        assert calls == 909
+        assert calls == 485
         calls = 0
         tau, achieving = nef_threshold(pic, g, m)
         assert calls <= 100
         assert tau == Fraction(1, 2)
         assert achieving == tuple(w for w in walls if w.rho_picard == (0, 1, 0, 2, 0))
+
+
+class TestParityPruning:
+    """The divisibility-2 congruence prunes inner nodes: the walls stay those
+    of the walk that prunes nothing, and the high-rank trees stay small."""
+
+    @pytest.mark.parametrize("rank", [6, 7, 8, 9, 10])
+    @pytest.mark.parametrize("targets", PRUNING_TARGETS)
+    def test_ladder_walls_equal_the_unpruned_walk(self, rank, targets):
+        pic = ladder_picard(rank)
+        g, m = (3,) + (0,) * (rank - 1), (3, 4) + (0,) * (rank - 2)
+        # without m the capped walk grows fast with the rank: 11,040 walls
+        # at L(10) on the first level alone
+        for query_m, cap in ((m, None), (m, 24)) + (((None, 12),) if rank <= 8 else ()):
+            walls = enumerate_walls(WallQuery(pic, g, m=query_m, targets=targets, level_cap=cap))
+            assert wall_keys(walls) == unpruned_walls(pic, g, query_m, targets, cap)
+
+    @pytest.mark.parametrize(
+        "rank,count,most",
+        [
+            # 214,197 interval solves when odd branches were dropped at the hit
+            (14, 261, 1_000),
+            # L(18) + e2-f2 + e3-f3: 13,328,175 solves then
+            (20, 485, 5_000),
+        ],
+    )
+    def test_high_rank_walk_node_count(self, monkeypatch, rank, count, most):
+        pic = ladder_picard(rank)
+        g, m = (3,) + (0,) * (rank - 1), (3, 4) + (0,) * (rank - 2)
+        calls = 0
+        interval = enumeration.integer_interval
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return interval(*args)
+
+        monkeypatch.setattr(enumeration, "integer_interval", counted)
+        walls = enumerate_walls(WallQuery(pic, g, m=m))
+        assert len(walls) == count
+        assert calls <= most
 
 
 class TestPrimitivity:

@@ -1,5 +1,6 @@
 """Property tests: Picard-coordinate divisibility, slice bases and wall-list invariants."""
 
+import itertools
 import random
 from fractions import Fraction
 from math import gcd
@@ -22,7 +23,13 @@ from hyperwall import (
     vector_from_labels,
 )
 from hyperwall.enumeration import DEFAULT_TARGETS, _SliceContext
-from lattice_fixtures import cofactor_det, random_hyperbolic_picard, random_polarized_pair
+from lattice_fixtures import (
+    PRUNING_TARGETS,
+    cofactor_det,
+    random_hyperbolic_picard,
+    random_polarized_pair,
+    unpruned_walls,
+)
 
 PROPERTY_SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=100)
 
@@ -180,6 +187,50 @@ class TestEvenSquares:
             if s not in even or pic._divisibility(x) % 2 == 0
         ]
         assert ctx.solutions(caps, first, even=even) == expected
+
+
+class TestParityPruning:
+    """The GF(2) residue test at each descent node against brute force."""
+
+    @PROPERTY_SETTINGS
+    @given(st.integers(min_value=1, max_value=5), seeds, st.booleans())
+    def test_residue_test_is_exactly_an_even_completion(self, rank, seed, with_m):
+        rng = random.Random(seed)
+        pic = random_hyperbolic_picard(rng, rank)
+        if rank == 1:
+            g, m = (1,), None
+        else:
+            g, m = random_polarized_pair(rng, pic)
+        ctx = _SliceContext(pic, g, m if with_m else None)
+        coords, rho = ctx._parity()
+        nk = len(ctx.kernel)
+        assert nk <= 4 and rho[0] == 0
+        columns = [*ctx.kernel, ctx.u]
+
+        def even(bits):
+            # x = sum of the columns t_j is odd, as an ambient vector
+            x = [sum(c[a] for bit, c in zip(bits, columns) if bit) for a in range(rank)]
+            return all(p % 2 == 0 for p in K3_2_LATTICE.gram_times(pic.to_ambient(x)))
+
+        # level i: (t_i, ..., t_{nk-1}, scale) fixed mod 2, t_0 .. t_{i-1} free
+        for i in range(nk + 1):
+            for fixed in itertools.product((0, 1), repeat=nk + 1 - i):
+                residue = 0
+                for j, bit in enumerate(fixed, start=i):
+                    if bit:
+                        residue ^= coords[j]
+                completes = any(even(free + fixed) for free in itertools.product((0, 1), repeat=i))
+                assert (residue >> rho[i] == 0) == completes
+
+    @PROPERTY_SETTINGS
+    @given(st.integers(min_value=2, max_value=5), seeds, st.sampled_from(PRUNING_TARGETS), st.booleans())
+    def test_walls_equal_the_unpruned_walk(self, rank, seed, targets, with_m):
+        rng = random.Random(seed)
+        pic = random_hyperbolic_picard(rng, rank)
+        g, m = random_polarized_pair(rng, pic)
+        m, cap = (m, None) if with_m else (None, 15)
+        walls = enumerate_walls(WallQuery(pic, g, m=m, targets=targets, level_cap=cap))
+        assert [w.rho_picard for w in walls] == unpruned_walls(pic, g, m, targets, cap)
 
 
 def segment_verdict(pic, g, m, a, b):
