@@ -14,6 +14,7 @@ from fractions import Fraction
 from math import isqrt
 
 from .lattice import AMBIENT_RANK, CurveClass, _as_vector, bb_pair, divisibility
+from .rational_linalg import _cleared
 
 QDUAL_SELF_PAIRING = 575          # 23 * 25
 QDUAL_DIVISOR_FACTOR = 25
@@ -211,13 +212,8 @@ def lagrangian_eliminant() -> tuple[int, int, int]:
     poly = poly[low:]
     if len(poly) != 3:
         raise AssertionError("elimination did not produce a quadratic")
-    denom_lcm = 1
-    for c in poly:
-        denom_lcm = denom_lcm * c.denominator // math.gcd(denom_lcm, c.denominator)
-    ints = [int(c * denom_lcm) for c in poly]
-    content = 0
-    for c in ints:
-        content = math.gcd(content, c)
+    _, ints = _cleared(poly)
+    content = math.gcd(*ints)
     ints = [c // content for c in ints]
     if ints[-1] < 0:
         ints = [-c for c in ints]

@@ -189,6 +189,15 @@ def _combine(coeffs, rows) -> list[int]:
     return [sum(c * row[a] for c, row in zip(coeffs, rows)) for a in range(len(rows[0]))]
 
 
+def _wall_div(picard: PicardLattice, x, divs) -> int:
+    """The divisibility of x if x is a wall (primitive, its divisibility in
+    divs), else 0: the package's one test of what counts as a wall."""
+    if gcd(*x) != 1:
+        return 0
+    div = picard._divisibility(x)
+    return div if div in divs else 0
+
+
 class _SliceContext:
     """Shared slice data for a fixed (picard, g), optionally sliced along m.
 
@@ -468,9 +477,7 @@ class _SliceContext:
                                             continue
                                         # a wall crossing before a/b tightens the bound
                                         k, j = scale * d, scale * u_m + m_step * t[top]
-                                        if k * b < a * (k - j) and gcd(*x) == 1 and (
-                                            self.picard._divisibility(x) in groups[s]
-                                        ):
+                                        if k * b < a * (k - j) and _wall_div(self.picard, x, groups[s]):
                                             a, b = k, k - j
                                             # at this scale the clip is now t[top] <= its
                                             # value (a rank-3 level-1 loop runs its range out)
@@ -535,8 +542,8 @@ def _collect_walls(
         nearest = (groups, *nearest)
     walls: list[WallClass] = []
     for square, x in _SliceContext(picard, g, m).solutions(caps, first, even, nearest):
-        div = picard._divisibility(x)
-        if div in groups[square] and gcd(*x) == 1:
+        div = _wall_div(picard, x, groups[square])
+        if div:
             walls.append(WallClass(x, picard._to_ambient(x), square, div))
     walls.sort(key=lambda wall: wall.rho_picard)
     return walls

@@ -100,21 +100,20 @@ class AmbientLattice:
     def pair(self, a, b) -> int:
         """The bilinear form a^T . gram . b, exactly."""
         va = _as_vector(a, self.rank)
-        vb = _as_vector(b, self.rank)
-        total = 0
-        for i, xi in enumerate(va):
-            if xi:
-                total += xi * sum(val * vb[j] for j, val in self._nonzero_rows[i])
-        return total
+        return sum(map(mul, va, self._gram_times(_as_vector(b, self.rank))))
 
     def gram_times(self, v) -> tuple[int, ...]:
         """Pairings of v with every basis vector."""
         return self._gram_times(_as_vector(v, self.rank))
 
     def _gram_times(self, v) -> tuple[int, ...]:
-        return tuple(
-            sum(val * v[j] for j, val in row) for row in self._nonzero_rows
-        )
+        # the Gram is symmetric: sum v_a * (row a) over the nonzero v_a
+        out = [0] * len(v)
+        for va, row in zip(v, self._nonzero_rows):
+            if va:
+                for j, val in row:
+                    out[j] += va * val
+        return tuple(out)
 
     def divisibility(self, v) -> int:
         """Positive generator of the ideal (v, Lambda) of pairings."""
@@ -317,11 +316,17 @@ class PicardLattice:
         ]
 
     def from_ambient(self, v) -> tuple[Fraction, ...] | None:
-        """Rational Picard coordinates of an ambient vector, or None."""
+        """Rational Picard coordinates of an ambient vector, or None.
+
+        x solves the normal equations (B B^T) x = B v of the basis rows B,
+        whose Euclidean Gram is positive definite; v lies in the rational
+        span exactly when x^T B gives it back.
+        """
         vv = _as_vector(v, self.ambient.rank)
-        cols = [[self.basis[j][i] for j in range(self.rank)] for i in range(self.ambient.rank)]
-        sol = solve_exact(cols, list(vv))
-        return tuple(sol) if sol is not None else None
+        basis = self.basis
+        euclid = [[sum(map(mul, b, c)) for c in basis] for b in basis]
+        x = tuple(solve_exact(euclid, [sum(map(mul, b, vv)) for b in basis]))
+        return x if self._to_ambient(x) == vv else None
 
     def signature(self) -> tuple[int, int, int]:
         return self._signature

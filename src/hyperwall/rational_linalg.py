@@ -6,8 +6,9 @@ exact sign and equality questions, so even a single rounded intermediate
 value could silently drop or invent a wall.  The eliminations clear
 denominators once and then work in ints only (Bareiss, Math. Comp. 22,
 1968: every division is exact), building a Fraction only for the output.
-One symmetric pass gives inertia, determinant and ldl_positive;
-solve_exact runs Bareiss Gauss-Jordan on the augmented rows.
+One symmetric pass gives inertia, determinant, ldl_positive and
+solve_exact; Euclid's column reduction gives linear_form_basis and
+saturation_index; integral_lll reduces lattice bases.
 """
 
 from __future__ import annotations
@@ -89,31 +90,29 @@ def determinant(mat) -> Fraction:
     return Fraction(minors[n], scale**n) if len(minors) > n else Fraction(0)
 
 
-def solve_exact(a_rows, b) -> list[Fraction] | None:
-    """Solve A x = b for A with full column rank; None if inconsistent.
+def solve_exact(mat, b) -> list[Fraction]:
+    """Solve N x = b for a symmetric positive definite rational N.
 
-    A is given as m rows of length n with m >= n.  Raises ValueError when
-    the columns are linearly dependent (no unique solution).  Bareiss
-    Gauss-Jordan: every pivot row ends with the last pivot on the diagonal.
+    Raises ValueError when N is not positive definite.  The forward steps
+    of the symmetric pass are replayed on the cleared b (bordered into the
+    matrix, b could be swapped in by a pivot repair), and back substitution
+    solves for det * x, integral by Cramer's rule: every division is exact.
     """
-    n = len(a_rows[0]) if a_rows else 0
-    # zero rows change neither the rank nor the consistency
-    aug = [row for row in (_cleared([*r, bi])[1] for r, bi in zip(a_rows, b)) if any(row)]
-    prev = 1
+    scale, a, minors = _eliminate(mat)
+    n = len(a)
+    # all n minors positive: N is positive definite, so no pivot was moved
+    if len(minors) <= n or min(minors) <= 0:
+        raise ValueError("matrix is not positive definite")
+    den, c = _cleared([scale * x for x in b])
     for k in range(n):
-        piv = next((r for r in range(k, len(aug)) if aug[r][k]), None)
-        if piv is None:
-            raise ValueError("matrix does not have full column rank")
-        aug[k], aug[piv] = aug[piv], aug[k]
-        pivot_row, p = aug[k], aug[k][k]
-        for r, row in enumerate(aug):
-            if r != k:
-                f = row[k]
-                aug[r] = [(p * x - f * y) // prev for x, y in zip(row, pivot_row)]
-        prev = p
-    if any(row[n] for row in aug[n:]):
-        return None
-    return [Fraction(row[n], prev) for row in aug[:n]]
+        pivot_row, p, prev = a[k], minors[k + 1], minors[k]
+        for r in range(k + 1, n):
+            c[r] = (p * c[r] - pivot_row[r] * c[k]) // prev
+    det, x = minors[n], [0] * n
+    for k in reversed(range(n)):
+        row = a[k]
+        x[k] = (det * c[k] - sum(row[j] * x[j] for j in range(k + 1, n))) // row[k]
+    return [Fraction(xk, det * den) for xk in x]
 
 
 def inertia(mat) -> tuple[int, int, int]:
@@ -131,33 +130,17 @@ def linear_form_basis(w: Sequence[int]) -> tuple[int, list[int], list[list[int]]
     """Unimodular basis adapted to the integer linear form w.
 
     Returns (d, u, kernel) with d = gcd(w) > 0, w . u = d, and kernel an
-    integral basis of {x : w . x = 0}.  The change of basis is built from
-    elementary column operations, so the kernel basis together with u spans
+    integral basis of {x : w . x = 0}.  column_reduce of the one row w,
+    with the unit rows riding along, gives the change of basis T: its
+    column 0 is u and the others are the kernel, so together they span
     the full integer lattice.
     """
     n = len(w)
-    v = [int(x) for x in w]
-    if not any(v):
+    reduced = column_reduce([w], [[0] * i + [1] + [0] * (n - 1 - i) for i in range(n)])
+    if reduced is None:
         raise ValueError("zero linear form")
-    cols = [[1 if i == j else 0 for i in range(n)] for j in range(n)]
-    while True:
-        nz = [j for j in range(n) if v[j]]
-        if len(nz) == 1:
-            break
-        jmin = min(nz, key=lambda j: abs(v[j]))
-        for j in nz:
-            if j == jmin:
-                continue
-            q = v[j] // v[jmin]
-            if q:
-                v[j] -= q * v[jmin]
-                cols[j] = [cj - q * ci for cj, ci in zip(cols[j], cols[jmin])]
-    j0 = next(j for j in range(n) if v[j])
-    if v[j0] < 0:
-        v[j0] = -v[j0]
-        cols[j0] = [-c for c in cols[j0]]
-    kernel = [cols[j] for j in range(n) if j != j0]
-    return v[j0], cols[j0], kernel
+    u, *kernel = map(list, zip(*reduced[1:]))
+    return reduced[0][0], u, kernel
 
 
 def ldl_positive(mat) -> tuple[list[Fraction], list[list[Fraction]]]:
@@ -268,17 +251,21 @@ def integer_interval(numer: int, denom: int, bound: int) -> range:
     return range(-((s - numer) // denom), (numer + s) // denom + 1)
 
 
-def column_reduce(rows) -> list[list[int]] | None:
-    """The integer rows after unimodular column operations, lower triangular.
+def column_reduce(rows, riders=()) -> list[list[int]] | None:
+    """The integer rows, then the riders, times one unimodular T.
 
-    Euclid's algorithm on columns, as in linear_form_basis, leaves row i
-    nonzero only in columns 0..i, so every column past len(rows) is zero
-    and the first len(rows) columns span the same lattice as the original
-    columns.  Returns None when the rows are linearly dependent.
+    Euclid's algorithm on columns leaves row i nonzero only in columns
+    0..i, with a positive pivot in column i: each pivot moves to the front
+    of the columns not yet reduced and the others keep their order.  So
+    every column past len(rows) is zero and the first len(rows) columns
+    span the same lattice as the original columns.  The riders take the
+    same column operations.  Returns None when the rows are linearly
+    dependent.
     """
-    work = [[int(x) for x in row] for row in rows]
+    work = [[int(x) for x in row] for row in (*rows, *riders)]
     ncols = len(work[0]) if work else 0
-    for i, row in enumerate(work):
+    for i in range(len(rows)):
+        row = work[i]
         while True:
             nz = [j for j in range(i, ncols) if row[j]]
             if not nz:
@@ -292,8 +279,9 @@ def column_reduce(rows) -> list[list[int]] | None:
                     for r in work[i:]:
                         r[j] -= q * r[jmin]
         jpiv = nz[0]
+        sign = 1 if row[jpiv] > 0 else -1
         for r in work[i:]:
-            r[i], r[jpiv] = r[jpiv], r[i]
+            r.insert(i, sign * r.pop(jpiv))
     return work
 
 

@@ -7,9 +7,10 @@ that nothing is missing and undoes it; no file is written.
 """
 
 import importlib.util
+from collections import Counter
 from pathlib import Path
 
-from hyperwall import enumeration
+from hyperwall import PicardLattice, WallQuery, basis_vector, cones, enumeration, vector_from_labels
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -31,3 +32,43 @@ def test_every_hooked_name_resolves():
     finally:
         tracer.uninstall()
     assert enumeration.integer_interval is original
+
+
+# names the benchmark hooks in hyperwall.enumeration: every verdict builds
+# a slice context and walks it, so each of them must see calls
+CONTEXT_HOOKS = ("linear_form_basis", "ldl_positive", "solve_exact", "integer_interval")
+
+
+def test_every_hooked_name_is_called(monkeypatch):
+    """A hooked name must also be called: a dead import would keep its
+    hook resolving while every metric that depends on it reads zero."""
+    calls = Counter()
+
+    def count(module, name):
+        fn = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[module.__name__, name] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    for name in CONTEXT_HOOKS:
+        count(enumeration, name)
+    count(cones, "enumerate_walls")
+    pic = PicardLattice(
+        [vector_from_labels({"e1": 1, "f1": 2}), basis_vector("delta"), basis_vector("E8a_1")]
+    )
+    g, m = (15, 1, 4), (3, 4, 0)  # the benchmark's rank-3 ladder rung
+    verdicts = {
+        "enumerate_walls": lambda: enumeration.enumerate_walls(WallQuery(pic, g, m)),
+        "is_ample": lambda: cones.is_ample(pic, g, m),
+        "nef_threshold": lambda: cones.nef_threshold(pic, g, m),
+    }
+    for verdict, run in verdicts.items():
+        before = calls.copy()
+        run()
+        for name in CONTEXT_HOOKS:
+            assert calls[enumeration.__name__, name] > before[enumeration.__name__, name], (verdict, name)
+    # is_ample reaches the wall list through the name hooked in cones
+    assert calls[cones.__name__, "enumerate_walls"] > 0

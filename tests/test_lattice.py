@@ -106,6 +106,19 @@ class TestBbPair:
             combo = tuple(s * bi + t * ci for bi, ci in zip(b, c))
             assert bb_pair(a, combo) == s * bb_pair(a, b) + t * bb_pair(a, c)
 
+    def test_matches_the_dense_gram_product(self):
+        # the sparse row sums against gram . v, on dense and sparse vectors
+        gram = K3_2_LATTICE.gram
+        rng = random.Random(57)
+        for density in (1.0, 0.2, 0.05) * 20:
+            a, b = (
+                tuple(rng.randint(-9, 9) if rng.random() < density else 0 for _ in range(AMBIENT_RANK))
+                for _ in range(2)
+            )
+            dense = tuple(sum(x * y for x, y in zip(row, b)) for row in gram)
+            assert K3_2_LATTICE.gram_times(b) == dense
+            assert bb_pair(a, b) == sum(x * y for x, y in zip(a, dense))
+
     def test_even_valued(self):
         rng = random.Random(55)
         for _ in range(200):

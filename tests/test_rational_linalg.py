@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from hyperwall.rational_linalg import (
     check_symmetric,
+    column_reduce,
     determinant,
     inertia,
     integer_interval,
@@ -18,7 +19,7 @@ from hyperwall.rational_linalg import (
     saturation_index,
     solve_exact,
 )
-from lattice_fixtures import cofactor_det
+from lattice_fixtures import cofactor_det, random_hyperbolic_picard
 
 
 def rank_of(rows) -> int:
@@ -163,6 +164,34 @@ def fraction_inertia(mat) -> tuple[int, int, int]:
     return pos, neg, zero
 
 
+def euclid_form_basis(w):
+    """The package's former linear_form_basis: Euclid on the columns of
+    the one row w, tracking the transform column by column."""
+    n = len(w)
+    v = [int(x) for x in w]
+    if not any(v):
+        raise ValueError("zero linear form")
+    cols = [[1 if i == j else 0 for i in range(n)] for j in range(n)]
+    while True:
+        nz = [j for j in range(n) if v[j]]
+        if len(nz) == 1:
+            break
+        jmin = min(nz, key=lambda j: abs(v[j]))
+        for j in nz:
+            if j == jmin:
+                continue
+            q = v[j] // v[jmin]
+            if q:
+                v[j] -= q * v[jmin]
+                cols[j] = [cj - q * ci for cj, ci in zip(cols[j], cols[jmin])]
+    j0 = next(j for j in range(n) if v[j])
+    if v[j0] < 0:
+        v[j0] = -v[j0]
+        cols[j0] = [-c for c in cols[j0]]
+    kernel = [cols[j] for j in range(n) if j != j0]
+    return v[j0], cols[j0], kernel
+
+
 def outcome(fn, *args):
     """The result, or the ValueError message, so both paths compare."""
     try:
@@ -246,6 +275,7 @@ class TestRankSolve:
         assert rank_of([[0, 0]]) == 0
 
     def test_solve_recovers_solution(self):
+        # the normal equations A^T A x = A^T b of a full-rank A
         rng = random.Random(7)
         done = 0
         while done < 30:
@@ -256,12 +286,10 @@ class TestRankSolve:
                 continue
             x = [rng.randint(-7, 7) for _ in range(n)]
             b = [sum(a[i][j] * x[j] for j in range(n)) for i in range(m)]
-            assert solve_exact(a, b) == [Fraction(v) for v in x]
+            ata = [[sum(row[i] * row[j] for row in a) for j in range(n)] for i in range(n)]
+            atb = [sum(row[i] * bi for row, bi in zip(a, b)) for i in range(n)]
+            assert solve_exact(ata, atb) == [Fraction(v) for v in x]
             done += 1
-
-    def test_solve_detects_inconsistency(self):
-        a = [[1, 0], [0, 1], [1, 1]]
-        assert solve_exact(a, [1, 1, 5]) is None
 
     def test_solve_rejects_column_deficiency(self):
         with pytest.raises(ValueError):
@@ -293,6 +321,47 @@ class TestLinearFormBasis:
     def test_zero_form_rejected(self):
         with pytest.raises(ValueError):
             linear_form_basis([0, 0])
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(st.lists(st.integers(min_value=-40, max_value=40), min_size=1, max_size=7))
+    def test_equals_the_euclid_reference(self, w):
+        """Bit for bit the former Euclid loop: zero entries, negative
+        gcd signs and the zero form (the same ValueError) included."""
+        assert outcome(linear_form_basis, w) == outcome(euclid_form_basis, w)
+
+
+def mat_mul(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+class TestColumnReduce:
+    @settings(derandomize=True, database=None, deadline=None, max_examples=200)
+    @given(
+        st.integers(min_value=1, max_value=3),
+        st.integers(min_value=0, max_value=3),
+        st.integers(min_value=0, max_value=3),
+        st.data(),
+    )
+    def test_riders_take_the_same_transform(self, nrows, extra, nriders, data):
+        """rows and riders both end multiplied by one unimodular T, and
+        the rows end lower triangular with positive pivots."""
+        ncols = nrows + extra
+        rows = data.draw(matrices(nrows, ncols, False))
+        riders = data.draw(matrices(nriders, ncols, False))
+        got = column_reduce(rows, riders)
+        if got is None:
+            assert rank_of(rows) < nrows
+            assert column_reduce(rows) is None
+            return
+        # T itself rides along as the unit rows
+        unit = [[int(i == j) for j in range(ncols)] for i in range(ncols)]
+        transform = column_reduce(rows, unit)[nrows:]
+        assert fraction_determinant(transform) in (1, -1)
+        assert got == mat_mul(rows, transform) + mat_mul(riders, transform)
+        assert got[:nrows] == column_reduce(rows)
+        for i, row in enumerate(got[:nrows]):
+            assert row[i] > 0
+            assert not any(row[i + 1:])
 
 
 def random_positive_definite(rng, n):
@@ -382,7 +451,7 @@ class TestIntegralLll:
             rows = integral_lll(gram, start)
             # rows = T * start for an integral T with det T = +-1
             assert fraction_determinant(rows) in (fraction_determinant(start), -fraction_determinant(start))
-            transform = [solve_exact([list(c) for c in zip(*start)], row) for row in rows]
+            transform = [fraction_solve([list(c) for c in zip(*start)], row) for row in rows]
             assert all(c.denominator == 1 for row in transform for c in row)
 
     def test_fewer_rows_than_the_form(self):
@@ -547,32 +616,29 @@ class TestBareissAgainstFractionReferences:
 
     @KERNEL_SETTINGS
     @given(
-        st.integers(min_value=1, max_value=4),
-        st.integers(min_value=0, max_value=3),
+        st.integers(min_value=0, max_value=5),
         st.booleans(),
-        st.sampled_from(["consistent", "arbitrary", "column_deficient"]),
+        st.sampled_from(["definite", *SYMMETRIC_KINDS]),
         st.data(),
     )
-    def test_solve(self, n, extra, rational, kind, data):
-        """Square and overdetermined, consistent or not, and rank-deficient."""
-        a = data.draw(matrices(n + extra, n, rational))
-        if kind == "column_deficient":  # the last column a multiple of the first
-            c = data.draw(entries(rational)) if n > 1 else 0
-            for row in a:
-                row[-1] = c * row[0]
-        if kind == "consistent":
-            x = data.draw(matrices(1, n, rational))[0]
-            b = [sum(r[j] * x[j] for j in range(n)) for r in a]
+    def test_solve(self, n, rational, kind, data):
+        """Positive definite B^T B equals the Fraction solve; any other
+        symmetric matrix raises exactly when the Fraction LDL does."""
+        if kind == "definite":
+            b = data.draw(matrices(n, n, rational))
+            mat = [[sum(r[i] * r[j] for r in b) for j in range(n)] for i in range(n)]
         else:
-            b = data.draw(matrices(1, n + extra, rational))[0]
-        got = outcome(solve_exact, a, b)
-        assert got == outcome(fraction_solve, a, b)
-        if kind == "column_deficient":
-            assert got[0] == "error"
-        elif got[0] == "ok" and got[1] is not None:
+            mat = data.draw(symmetric_matrices(n, rational, kind))
+        rhs = data.draw(matrices(1, n, rational))[0]
+        got = outcome(solve_exact, mat, rhs)
+        ldl = outcome(fraction_ldl, mat)
+        if ldl[0] == "error":
+            assert got == ldl
+        else:
+            assert got == ("ok", fraction_solve(mat, rhs))
             assert all_fractions(got[1])
-            if kind == "consistent":
-                assert [sum(r[j] * got[1][j] for j in range(n)) for r in a] == b
+        if kind in ("low_rank", "zero_diagonal") and n:
+            assert got == ("error", "matrix is not positive definite")
 
     @KERNEL_SETTINGS
     @given(
@@ -601,6 +667,27 @@ class TestBareissAgainstFractionReferences:
             assert all_fractions(d) and all(all_fractions(row) for row in coef)
         if kind == "semidefinite" and n:
             assert got == ("error", "matrix is not positive definite")
+
+    @KERNEL_SETTINGS
+    @given(
+        st.integers(min_value=2, max_value=5),
+        st.integers(min_value=0, max_value=2**32),
+        st.booleans(),
+        st.data(),
+    )
+    def test_from_ambient(self, rank, seed, in_span, data):
+        """The normal equations give the Fraction solve of the rectangular
+        system B^T x = v: its solution in the span, None off it."""
+        pic = random_hyperbolic_picard(random.Random(seed), rank)
+        x = data.draw(matrices(1, rank, False))[0]
+        v = list(pic.to_ambient(x))
+        if not in_span:
+            v[data.draw(st.integers(min_value=0, max_value=22))] += data.draw(entries(False).filter(bool))
+        expected = fraction_solve([list(col) for col in zip(*pic.basis)], v)
+        got = pic.from_ambient(v)
+        assert got == (None if expected is None else tuple(expected))
+        if in_span:
+            assert got == tuple(Fraction(c) for c in x)
 
     def test_ldl_rejects_asymmetric_alike(self):
         mat = [[2, 1], [0, 2]]
