@@ -37,6 +37,18 @@ spans that is one XOR and one shift per node.  A node that fails walks on
 with the budget of the most negative square that allows divisibility 1, or
 is dropped when there is none.
 
+The same residue gives each wall its divisibility.  At the leaf it is 0
+exactly when x has even divisibility.  A squarefree square makes every hit
+primitive.  The divisibility of a primitive x divides the Picard lattice's
+dual index (the index of the ambient lattice's image in its dual), which
+divides |det| of the ambient lattice; for K3^[2], |det| = 2.  With a dual
+index of at most 2, such a hit therefore has divisibility 2 when its
+residue is 0 and 1 otherwise, with no gcd taken.  The walk tracks the
+residue only at levels where it walks an even-only square.  Every other hit
+(a square such as -8, a walk with no even-only square, a Picard lattice of
+a larger dual index in a custom ambient lattice) goes through the gcd
+filter _wall_div.
+
 The nef threshold needs only the walls the segment from g to m crosses
 first, at t = (x, g)/((x, g) - (x, m)).  Its walk keeps the least crossing
 a/b of the walls found so far, starting at 1/1, and tightens both
@@ -56,6 +68,7 @@ from __future__ import annotations
 import itertools
 from collections import namedtuple
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, isqrt
 from operator import mul
 
@@ -198,6 +211,26 @@ def _wall_div(picard: PicardLattice, x, divs) -> int:
     return div if div in divs else 0
 
 
+@lru_cache(maxsize=64)
+def _squarefree(n: int) -> bool:
+    return all(n % (p * p) for p in range(2, isqrt(abs(n)) + 1))
+
+
+def _hit_div(picard: PicardLattice, square: int, x, res, divs) -> int:
+    """_wall_div of a hit of solutions(), read from its parity residue res
+    when that is exact.
+
+    A squarefree square makes x primitive, and a dual index of at most 2
+    (always so in K3^[2]) leaves a primitive x divisibility 1 or 2: then x
+    has divisibility 2 exactly when res is 0.  An untracked residue (None),
+    other squares and other lattices keep _wall_div.
+    """
+    if res is None or not _squarefree(square) or picard._dual_index > 2:
+        return _wall_div(picard, x, divs)
+    div = 1 if res else 2
+    return div if div in divs else 0
+
+
 class _SliceContext:
     """Shared slice data for a fixed (picard, g), optionally sliced along m.
 
@@ -320,31 +353,35 @@ class _SliceContext:
 
     def solutions(
         self, caps, first: int = 1, even=frozenset(), nearest=None
-    ) -> list[tuple[int, tuple[int, ...]]]:
-        """Every (square, x) with (x, x) = square and first <= (x, g) <= caps[square].
+    ) -> list[tuple[int, tuple[int, ...], int | None]]:
+        """Every (square, x, res) with (x, x) = square and first <= (x, g) <= caps[square].
 
         caps maps each target square to its largest level; the result is
-        sorted.  One call walks each scale (x, g) = scale*d once, with the
-        budget of the most negative square whose cap reaches it, and tests
-        every such square at the innermost level.  A hit on a square in
-        even is kept only if x has even divisibility.  That congruence is
-        tested mod 2 at every node: below a node whose fixed coordinates
-        cannot complete to even divisibility the walk goes on with the
-        budget of the lowest square not in even, or stops when there is
-        none.  A context built with m (not proportional to g) leaves out
-        every x with (x, m) > 0.
+        in walk order, not sorted.  One call walks each scale
+        (x, g) = scale*d once, with the budget of the most negative square
+        whose cap reaches it, and tests every such square at the innermost
+        level.  A hit on a square in even is kept only if x has even
+        divisibility.  That congruence is tested mod 2 at every node:
+        below a node whose fixed coordinates cannot complete to even
+        divisibility the walk goes on with the budget of the lowest square
+        not in even, or stops when there is none.  A context built with m
+        (not proportional to g) leaves out every x with (x, m) > 0.
+
+        At a scale where a square in even is walked, res is the parity
+        residue of x at the leaf: 0 exactly when x has even divisibility,
+        negative below a node that had no even completion.  Elsewhere the
+        walk does not track it (every residue reads 0), and res is None.
 
         nearest = (groups, (g, g), (m, m), (g, m)) walks only toward the
         first wall the segment from g to m crosses.  With k = (x, g) and
         j = (x, m), x crosses it at k/(k - j); a/b, the smallest crossing
-        of a hit that is a wall (primitive, its divisibility in
-        groups[square]), starts at 1/1.  The clip becomes
-        j <= -ceil(k(b - a)/a), and the walk stops at the first level k
-        where Cauchy-Schwarz leaves no x of the walked squares that far
-        out.  Both bounds are inclusive, so every wall crossing at the
+        of a hit that is a wall (see _hit_div), starts at 1/1.  The clip
+        becomes j <= -ceil(k(b - a)/a), and the walk stops at the first
+        level k where Cauchy-Schwarz leaves no x of the walked squares that
+        far out.  Both bounds are inclusive, so every wall crossing at the
         final a/b is returned; hits farther out may be returned too.
         """
-        found: list[tuple[int, tuple[int, ...]]] = []
+        found: list[tuple[int, tuple[int, ...], int | None]] = []
         d, nk, q_num, q_den = self.d, len(self.kernel), self.q_num, self.q_den
         denoms, weights, rows, columns = self.denoms, self.weights, self.centre_rows, self.columns
         top = nk - 1
@@ -383,10 +420,11 @@ class _SliceContext:
             # square s leaves (s - low)*q_den less budget than the lowest one
             leaves = [(s, (s - low) * q_den, s in even) for s in squares]
             # without an even-only square every node passes: all residues 0
-            if even.isdisjoint(squares):
-                coords, rho = [0] * (nk + 2), [0] * (nk + 1)
-            else:
+            tracked = not even.isdisjoint(squares)
+            if tracked:
                 coords, rho = gf2
+            else:
+                coords, rho = [0] * (nk + 2), [0] * (nk + 1)
             q1, rho1 = coords[slot], rho[1] if nk else 0
             # a node with no even completion walks on with the budget of the
             # lowest square that allows divisibility 1, or not at all
@@ -412,8 +450,9 @@ class _SliceContext:
                 if nk == 0:
                     x = tuple(scale * c for c in self.u)
                     # rho[0] = 0: a scale that passed has r == 0, even x
+                    residue = r if tracked else None
                     found.extend(
-                        (s, x) for s, off, _ in (shifted_leaves if r < 0 else leaves) if budget == off
+                        (s, x, residue) for s, off, _ in (shifted_leaves if r < 0 else leaves) if budget == off
                     )
                     continue
                 t[nk], res[nk] = scale, r
@@ -468,16 +507,21 @@ class _SliceContext:
                                         t[0] = v // den0
                                         if stop0 is not None and t[0] >= stop0:
                                             continue
-                                        # an even-only square needs r == 0 at the leaf
-                                        if parity and ((r1 ^ coords[0]) if t[0] & 1 else r1):
+                                        residue = (r1 ^ coords[0]) if t[0] & 1 else r1
+                                        # an even-only square needs residue 0
+                                        if parity and residue:
                                             continue
                                         x = tuple(sum(map(mul, col, t)) for col in columns)
-                                        found.append((s, x))
+                                        if not tracked:
+                                            residue = None
+                                        found.append((s, x, residue))
                                         if nearest is None:
                                             continue
                                         # a wall crossing before a/b tightens the bound
                                         k, j = scale * d, scale * u_m + m_step * t[top]
-                                        if k * b < a * (k - j) and _wall_div(self.picard, x, groups[s]):
+                                        if k * b < a * (k - j) and _hit_div(
+                                            self.picard, s, x, residue, groups[s]
+                                        ):
                                             a, b = k, k - j
                                             # at this scale the clip is now t[top] <= its
                                             # value (a rank-3 level-1 loop runs its range out)
@@ -510,7 +554,6 @@ class _SliceContext:
                     else:
                         break
             start = end
-        found.sort()
         return found
 
 
@@ -520,7 +563,7 @@ def slice_solutions(picard: PicardLattice, g, k: int, square: int) -> list[tuple
         raise ValueError("slice level k must be at least 1")
     g = tuple(g)
     _positive_cone(picard, g)
-    return [x for _, x in _SliceContext(picard, g).solutions({square: k}, first=k)]
+    return sorted(x for _, x, _ in _SliceContext(picard, g).solutions({square: k}, first=k))
 
 
 def _collect_walls(
@@ -536,13 +579,19 @@ def _collect_walls(
     the walls orthogonal to g.  nearest = ((g, g), (m, m), (g, m)) walks
     only toward the first crossing (see _SliceContext.solutions): the
     result then holds every wall crossed first, and maybe some others.
+
+    Each hit's divisibility comes from _hit_div: read from the walk's
+    parity residue (2 when it is 0, else 1, with no gcd taken) when the
+    square is squarefree, the Picard lattice's dual index is at most 2 and
+    an even-only square was walked at the hit's level; from _wall_div
+    otherwise.
     """
     even = {square for square, divs in groups.items() if 1 not in divs}
     if nearest is not None:
         nearest = (groups, *nearest)
     walls: list[WallClass] = []
-    for square, x in _SliceContext(picard, g, m).solutions(caps, first, even, nearest):
-        div = _wall_div(picard, x, groups[square])
+    for square, x, res in _SliceContext(picard, g, m).solutions(caps, first, even, nearest):
+        div = _hit_div(picard, square, x, res, groups[square])
         if div:
             walls.append(WallClass(x, picard._to_ambient(x), square, div))
     walls.sort(key=lambda wall: wall.rho_picard)

@@ -306,6 +306,17 @@ class PicardLattice:
         return [[row[c] for row in reduced] for c in range(self.rank)]
 
     @cached_property
+    def _dual_index(self) -> int:
+        """Index of the ambient lattice's image in the dual of this one.
+
+        The product of the pivots of the (triangular) divisibility forms.
+        The divisibility of every primitive x divides it, and it divides
+        |det| of the ambient lattice: it is 1 or 2 in K3^[2].
+        """
+        forms = self._divisibility_forms
+        return math.prod(forms[i][i] for i in range(self.rank))
+
+    @cached_property
     def _parity_masks(self) -> list[int]:
         # bit f of entry a is coefficient a of divisibility form f, mod 2:
         # x has even divisibility exactly when the masks of its odd

@@ -3,10 +3,9 @@
 from __future__ import annotations
 
 import random
-from math import gcd
 
 from hyperwall import PicardLattice, basis_vector, level_bound, vector_from_labels
-from hyperwall.enumeration import _SliceContext
+from hyperwall.enumeration import _SliceContext, _wall_div
 
 # The worked rank-2 lattice: h = e1 + f1 (square 2) and delta (square -2),
 # with Gram diag(2, -2).
@@ -19,6 +18,16 @@ FIXTURE_G = (3, -1)
 
 def rank2_picard() -> PicardLattice:
     return PicardLattice([H, DELTA])
+
+
+def ladder_picard(rank):
+    """L(r) = span(e1+2f1, delta, E8a_1 .. E8a_8, E8b_1 .. E8b_8, e2-f2, e3-f3),
+    cut after its first r vectors."""
+    basis = [vector_from_labels({"e1": 1, "f1": 2}), DELTA]
+    basis += [basis_vector(f"E8{half}_{i}") for half in "ab" for i in range(1, 9)]
+    basis += [vector_from_labels({"e2": 1, "f2": -1}), vector_from_labels({"e3": 1, "f3": -1})]
+    basis = basis[:rank]
+    return PicardLattice(basis)
 
 
 def cofactor_det(mat):
@@ -105,9 +114,9 @@ PRUNING_TARGETS = (
 
 
 def unpruned_walls(pic, g, m, targets, level_cap=None):
-    """Picard coordinates of the walls, sorted, from the walk that prunes
-    nothing by parity (no even-only square), filtered afterwards by
-    divisibility and primitivity."""
+    """(Picard coordinates, square, divisibility) of the walls, sorted, from
+    the walk that prunes nothing by parity (no even-only square), each hit
+    filtered afterwards by _wall_div (primitivity and divisibility)."""
     groups: dict[int, set[int]] = {}
     for square, div in targets:
         groups.setdefault(square, set()).add(div)
@@ -116,7 +125,8 @@ def unpruned_walls(pic, g, m, targets, level_cap=None):
         bound = level_cap if m is None else level_bound(pic, g, m, square)
         caps[square] = bound if level_cap is None else min(bound, level_cap)
     walls = []
-    for square, x in _SliceContext(pic, g, m).solutions(caps, 1, frozenset()):
-        if pic._divisibility(x) in groups[square] and gcd(*x) == 1:
-            walls.append(x)
+    for square, x, _ in _SliceContext(pic, g, m).solutions(caps, 1, frozenset()):
+        div = _wall_div(pic, x, groups[square])
+        if div:
+            walls.append((x, square, div))
     return sorted(walls)

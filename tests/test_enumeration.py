@@ -5,6 +5,7 @@ from math import floor, gcd, isqrt, lcm
 import pytest
 
 from hyperwall import (
+    AmbientLattice,
     PicardLattice,
     WallQuery,
     basis_vector,
@@ -25,6 +26,7 @@ from lattice_fixtures import (
     FIXTURE_G,
     PRUNING_TARGETS,
     H,
+    ladder_picard,
     rank2_picard,
     random_hyperbolic_picard,
     random_polarized_pair,
@@ -50,6 +52,10 @@ def picard_rank3_diag():
 
 def wall_keys(walls):
     return [w.rho_picard for w in walls]
+
+
+def wall_triples(walls):
+    return [(w.rho_picard, w.square, w.div) for w in walls]
 
 
 class TestSliceSolutions:
@@ -185,18 +191,8 @@ class TestEnumerateWalls:
 
 
 def one_slice(ctx, k, square):
-    """The one-level, one-square call: vectors with (x, g) = k and (x, x) = square."""
-    return [x for _, x in ctx.solutions({square: k}, first=k)]
-
-
-def ladder_picard(rank):
-    """L(r) = span(e1+2f1, delta, E8a_1 .. E8a_8, E8b_1 .. E8b_8, e2-f2, e3-f3),
-    cut after its first r vectors."""
-    basis = [vector_from_labels({"e1": 1, "f1": 2}), DELTA]
-    basis += [basis_vector(f"E8{half}_{i}") for half in "ab" for i in range(1, 9)]
-    basis += [vector_from_labels({"e2": 1, "f2": -1}), vector_from_labels({"e3": 1, "f3": -1})]
-    basis = basis[:rank]
-    return PicardLattice(basis)
+    """The one-level, one-square call: vectors with (x, g) = k and (x, x) = square, sorted."""
+    return sorted(x for _, x, _ in ctx.solutions({square: k}, first=k))
 
 
 class TestHalfSpacePruning:
@@ -242,7 +238,7 @@ class TestHalfSpacePruning:
             g, m = random_polarized_pair(rng, pic)
             caps = {square: level_bound(pic, g, m, square) for square in (-2, -10)}
             found = _SliceContext(pic, g, m).solutions(caps)
-            assert all(pic.pair(x, m) <= 0 for _, x in found)
+            assert all(pic.pair(x, m) <= 0 for _, x, _ in found)
             hits += len(found)
         assert hits == 88
 
@@ -449,6 +445,58 @@ class TestIntegerKernel:
         assert achieving == tuple(w for w in walls if w.rho_picard == (0, 1, 0, 2, 0))
 
 
+class TestDivisibilityReadout:
+    """Walls get their divisibility from the walk's parity residue only for
+    squarefree squares in a Picard lattice of dual index at most 2."""
+
+    def test_squarefree_squares(self):
+        squares = (-1, -2, -4, -6, -8, -10, -12, -18, -30, -50)
+        assert [s for s in squares if enumeration._squarefree(s)] == [-1, -2, -6, -10, -30]
+
+    def test_custom_ambient_keeps_the_filter(self):
+        # U + <-6>: a primitive (-6) class may have divisibility 6, which is
+        # even; read as 2 from the parity it would give 18 walls, not 12
+        ambient = AmbientLattice(((0, 1, 0), (1, 0, 0), (0, 0, -6)), ("e", "f", "d"))
+        pic = PicardLattice([(1, 0, 0), (0, 1, 0), (0, 0, 1)], ambient)
+        assert pic._dual_index == 6 == pic._divisibility((0, 0, 1))
+        query = WallQuery(pic, (1, 2, 0), targets=((-6, 2),), level_cap=12)
+        walls = enumerate_walls(query)
+        assert len(walls) == 12
+        assert walls == brute_force_walls(query, 30)
+
+    @pytest.mark.parametrize(
+        "targets,count,filtered,forms",
+        [
+            (DEFAULT_TARGETS, 216, 0, 0),
+            # -8 is not squarefree: its 37 hits go through _wall_div, and all
+            # of them are twice a (-2) class, dropped by the gcd before the forms
+            (((-2, 1), (-2, 2), (-8, 2), (-10, 2)), 216, 37, 0),
+            # no even-only square: the walk tracks no parity
+            (((-2, 1), (-2, 2)), 183, 183, 183),
+        ],
+    )
+    def test_divisibility_forms_only_where_the_parity_cannot_tell(
+        self, monkeypatch, targets, count, filtered, forms
+    ):
+        """Capped L(5): calls of _wall_div and of PicardLattice._divisibility."""
+        calls = {"filter": 0, "forms": 0}
+
+        def counted(key, fn):
+            def wrapped(*args):
+                calls[key] += 1
+                return fn(*args)
+
+            return wrapped
+
+        monkeypatch.setattr(enumeration, "_wall_div", counted("filter", enumeration._wall_div))
+        monkeypatch.setattr(PicardLattice, "_divisibility", counted("forms", PicardLattice._divisibility))
+        walls = enumerate_walls(
+            WallQuery(ladder_picard(5), (16, 4, -5, -4, 4), targets=targets, level_cap=160)
+        )
+        assert len(walls) == count
+        assert calls == {"filter": filtered, "forms": forms}
+
+
 class TestParityPruning:
     """The divisibility-2 congruence prunes inner nodes: the walls stay those
     of the walk that prunes nothing, and the high-rank trees stay small."""
@@ -462,7 +510,7 @@ class TestParityPruning:
         # at L(10) on the first level alone
         for query_m, cap in ((m, None), (m, 24)) + (((None, 12),) if rank <= 8 else ()):
             walls = enumerate_walls(WallQuery(pic, g, m=query_m, targets=targets, level_cap=cap))
-            assert wall_keys(walls) == unpruned_walls(pic, g, query_m, targets, cap)
+            assert wall_triples(walls) == unpruned_walls(pic, g, query_m, targets, cap)
 
     @pytest.mark.parametrize(
         "rank,count,most",

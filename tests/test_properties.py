@@ -82,6 +82,15 @@ class TestPicardDivisibility:
 
     @PROPERTY_SETTINGS
     @given(lattice_and_vector())
+    def test_divides_the_dual_index(self, case):
+        pic, x = case
+        # the dual index divides |det| = 2 of the ambient lattice
+        assert pic._dual_index in (1, 2)
+        if gcd(*x) == 1:
+            assert pic._dual_index % pic._divisibility(x) == 0
+
+    @PROPERTY_SETTINGS
+    @given(lattice_and_vector())
     def test_primitive_exactly_when_ambient_image_is(self, case):
         pic, x = case
         assert (gcd(*x) == 1) == (gcd(*pic.to_ambient(x)) == 1)
@@ -155,16 +164,17 @@ class TestSingleWalk:
             caps = {s: data.draw(st.integers(min_value=0, max_value=12)) for s in squares}
         first = data.draw(st.integers(min_value=0, max_value=1))
         expected = sorted(
-            (s, x)
+            hit
             for s, cap in caps.items()
             for k in range(first, cap + 1)
-            for _, x in ctx.solutions({s: k}, first=k)
+            for hit in ctx.solutions({s: k}, first=k)
         )
-        assert ctx.solutions(caps, first=first) == expected
+        assert sorted(ctx.solutions(caps, first=first)) == expected
 
 
 class TestEvenSquares:
-    """The divisibility congruence tested at the hit drops exactly the odd ones."""
+    """The divisibility congruence tested at the hit drops exactly the odd
+    ones, and the residue a hit carries is 0 exactly when it is even."""
 
     @PROPERTY_SETTINGS
     @given(st.data())
@@ -182,11 +192,18 @@ class TestEvenSquares:
             caps = {s: data.draw(st.integers(min_value=0, max_value=12)) for s in squares}
         first = data.draw(st.integers(min_value=0, max_value=1))
         even = set(data.draw(st.lists(st.sampled_from(squares), unique=True)))
-        expected = [
-            (s, x) for s, x in ctx.solutions(caps, first=first)
+        expected = sorted(
+            (s, x) for s, x, _ in ctx.solutions(caps, first=first)
             if s not in even or pic._divisibility(x) % 2 == 0
-        ]
-        assert ctx.solutions(caps, first, even=even) == expected
+        )
+        hits = ctx.solutions(caps, first, even=even)
+        assert sorted((s, x) for s, x, _ in hits) == expected
+        for _, x, res in hits:
+            # the residue is tracked exactly at the levels an even square reaches
+            if any(caps[s] >= pic.pair(x, g) for s in even):
+                assert (res == 0) == (pic._divisibility(x) % 2 == 0)
+            else:
+                assert res is None
 
 
 class TestParityPruning:
@@ -230,7 +247,7 @@ class TestParityPruning:
         g, m = random_polarized_pair(rng, pic)
         m, cap = (m, None) if with_m else (None, 15)
         walls = enumerate_walls(WallQuery(pic, g, m=m, targets=targets, level_cap=cap))
-        assert [w.rho_picard for w in walls] == unpruned_walls(pic, g, m, targets, cap)
+        assert [(w.rho_picard, w.square, w.div) for w in walls] == unpruned_walls(pic, g, m, targets, cap)
 
 
 def segment_verdict(pic, g, m, a, b):
@@ -275,6 +292,50 @@ def first_crossing(pic, g, m, targets=DEFAULT_TARGETS):
         crossings[wall] = Fraction(k, k - j)
     tau = min(crossings.values(), default=Fraction(1))
     return tau, tuple(w for w in walls if crossings[w] == tau)
+
+
+# squarefree squares read from the parity, a non-squarefree one kept on
+# _wall_div, walks with no even-only square to track the parity, and (with m)
+# levels past the cap of the only even-only square, where it is not tracked
+READOUT_TARGETS = (
+    DEFAULT_TARGETS,
+    ((-8, 2),),
+    ((-2, 1), (-2, 2), (-8, 2), (-10, 2)),
+    ((-6, 1), (-6, 2)),
+    ((-2, 1), (-2, 2)),
+    ((-2, 2), (-6, 1), (-6, 2)),
+)
+
+
+class TestDivisibilityReadout:
+    """Divisibility read from the walk's parity residue equals the _wall_div
+    filter of the walk that tracks no parity."""
+
+    @PROPERTY_SETTINGS
+    @given(st.integers(min_value=2, max_value=5), seeds, st.sampled_from(READOUT_TARGETS), st.booleans())
+    def test_walls_and_threshold_equal_the_filtered_walk(self, rank, seed, targets, with_m):
+        rng = random.Random(seed)
+        pic = random_hyperbolic_picard(rng, rank)
+        g, m = random_polarized_pair(rng, pic)
+        query_m, cap = (m, None) if with_m else (None, 15)
+        expected = unpruned_walls(pic, g, query_m, targets, cap)
+        walls = enumerate_walls(WallQuery(pic, g, m=query_m, targets=targets, level_cap=cap))
+        assert [(w.rho_picard, w.square, w.div) for w in walls] == expected
+        if not with_m:
+            return
+        try:
+            validate_polarization(pic, g, targets)
+        except PreconditionError:
+            return
+        # the first crossing of the filtered walk's walls, as nef_threshold reads it
+        crossings = {}
+        for x, _, _ in expected:
+            k, j = pic.pair(x, g), pic.pair(x, m)
+            crossings[x] = Fraction(k, k - j)
+        tau = min(crossings.values(), default=Fraction(1))
+        achieving = sorted(x for x, t in crossings.items() if t == tau)
+        got_tau, got = nef_threshold(pic, g, m, targets)
+        assert (got_tau, [w.rho_picard for w in got]) == (tau, achieving)
 
 
 class TestBoundedNefThreshold:
