@@ -156,7 +156,7 @@ def _targets_flag(text: str) -> tuple[tuple[int, int], ...]:
     return tuple(out)
 
 
-def _wall_payload(picard: PicardLattice, wall: WallClass) -> dict:
+def _wall_payload(wall: WallClass) -> dict:
     ray = classify_wall(wall.rho_ambient)
     return {
         "picard": list(wall.rho_picard),
@@ -204,7 +204,7 @@ def cmd_walls(args) -> dict:
         "input": doc.echo,
         "targets": [list(t) for t in targets],
         "level_cap": cap,
-        "walls": [_wall_payload(doc.picard, w) for w in walls],
+        "walls": [_wall_payload(w) for w in walls],
     }
 
 
@@ -216,7 +216,7 @@ def cmd_ample(args) -> dict:
     verdict = is_ample(doc.picard, doc.g, doc.m, targets)
     witnesses = []
     for wall in verdict.witnesses:
-        payload = _wall_payload(doc.picard, wall)
+        payload = _wall_payload(wall)
         payload["pairing_with_m"] = doc.picard.pair(wall.rho_picard, doc.m)
         witnesses.append(payload)
     return {
@@ -240,7 +240,7 @@ def cmd_nef_threshold(args) -> dict:
         "command": "nef-threshold",
         "input": doc.echo,
         "tau": _rat(tau),
-        "walls": [_wall_payload(doc.picard, w) for w in walls],
+        "walls": [_wall_payload(w) for w in walls],
     }
 
 

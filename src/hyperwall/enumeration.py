@@ -29,7 +29,7 @@ square against what is left of that budget.
 A square whose targets allow divisibility 2 only needs x with even
 divisibility, and that congruence prunes every node of the walk, not only
 the hit.  Even divisibility is linear mod 2 in the descent coordinates
-t = (t_0, ..., t_{nk-1}, scale): with P_j the divisibility forms mod 2 on
+t = (t_0, ..., t_{nk-1}, scale): with P_j the ambient pairings mod 2 of
 column j, the node that fixes t_i, ..., scale has a completion of even
 divisibility exactly when sum_{j >= i} t_j P_j lies in
 span(P_0, ..., P_{i-1}).  In GF(2) coordinates adapted to these nested
@@ -37,17 +37,10 @@ spans that is one XOR and one shift per node.  A node that fails walks on
 with the budget of the most negative square that allows divisibility 1, or
 is dropped when there is none.
 
-The same residue gives each wall its divisibility.  At the leaf it is 0
-exactly when x has even divisibility.  A squarefree square makes every hit
-primitive.  The divisibility of a primitive x divides the Picard lattice's
-dual index (the index of the ambient lattice's image in its dual), which
-divides |det| of the ambient lattice; for K3^[2], |det| = 2.  With a dual
-index of at most 2, such a hit therefore has divisibility 2 when its
-residue is 0 and 1 otherwise, with no gcd taken.  The walk tracks the
-residue only at levels where it walks an even-only square.  Every other hit
-(a square such as -8, a walk with no even-only square, a Picard lattice of
-a larger dual index in a custom ambient lattice) goes through the gcd
-filter _wall_div.
+The same residue, carried to every hit, gives each wall its
+divisibility: at the leaf it is 0 exactly when x has even divisibility.
+The discriminant group of K3^[2] is Z/2, so a primitive x (gcd(*x) == 1)
+has divisibility 2 when its residue is 0 and 1 otherwise (_wall_div).
 
 The nef threshold needs only the walls the segment from g to m crosses
 first, at t = (x, g)/((x, g) - (x, m)).  Its walk keeps the least crossing
@@ -68,11 +61,10 @@ from __future__ import annotations
 import itertools
 from collections import namedtuple
 from fractions import Fraction
-from functools import lru_cache
 from math import gcd, isqrt
 from operator import mul
 
-from .lattice import PicardLattice
+from .lattice import PicardLattice, divisibility
 from .rational_linalg import (
     _cleared,
     integer_interval,
@@ -202,31 +194,16 @@ def _combine(coeffs, rows) -> list[int]:
     return [sum(c * row[a] for c, row in zip(coeffs, rows)) for a in range(len(rows[0]))]
 
 
-def _wall_div(picard: PicardLattice, x, divs) -> int:
-    """The divisibility of x if x is a wall (primitive, its divisibility in
-    divs), else 0: the package's one test of what counts as a wall."""
+def _wall_div(x, res, divs) -> int:
+    """The divisibility of the hit x of solutions(), with parity residue
+    res, if x is a wall (primitive, its divisibility in divs), else 0: the
+    package's one test of what counts as a wall.
+
+    A primitive x has divisibility 1 or 2 in K3^[2], and 2 exactly when
+    res is 0.
+    """
     if gcd(*x) != 1:
         return 0
-    div = picard._divisibility(x)
-    return div if div in divs else 0
-
-
-@lru_cache(maxsize=64)
-def _squarefree(n: int) -> bool:
-    return all(n % (p * p) for p in range(2, isqrt(abs(n)) + 1))
-
-
-def _hit_div(picard: PicardLattice, square: int, x, res, divs) -> int:
-    """_wall_div of a hit of solutions(), read from its parity residue res
-    when that is exact.
-
-    A squarefree square makes x primitive, and a dual index of at most 2
-    (always so in K3^[2]) leaves a primitive x divisibility 1 or 2: then x
-    has divisibility 2 exactly when res is 0.  An untracked residue (None),
-    other squares and other lattices keep _wall_div.
-    """
-    if res is None or not _squarefree(square) or picard._dual_index > 2:
-        return _wall_div(picard, x, divs)
     div = 1 if res else 2
     return div if div in divs else 0
 
@@ -322,12 +299,11 @@ class _SliceContext:
     def _parity(self) -> tuple[list[int], list[int]]:
         """GF(2) data of the descent coordinates t = (t_0, ..., t_{nk-1}, scale).
 
-        P_j, the divisibility forms mod 2 on column j, written in a basis of
+        P_j, the ambient pairings mod 2 of column j, written in a basis of
         their span picked greedily from P_0, P_1, ...: then
         V_i = span(P_0, ..., P_{i-1}) holds exactly the vectors below bit
         rho[i].  Returns (Q, rho): Q[j] is P_j in that basis (with a 0 for
-        the spare slot), rho[i] = dim V_i for i <= nk.  Only a walk with an
-        even-only square needs it.
+        the spare slot), rho[i] = dim V_i for i <= nk.
         """
         masks = self.picard._parity_masks
         reduced: list[tuple[int, int, int]] = []  # (vector, its coordinates, pivot bit)
@@ -353,7 +329,7 @@ class _SliceContext:
 
     def solutions(
         self, caps, first: int = 1, even=frozenset(), nearest=None
-    ) -> list[tuple[int, tuple[int, ...], int | None]]:
+    ) -> list[tuple[int, tuple[int, ...], int]]:
         """Every (square, x, res) with (x, x) = square and first <= (x, g) <= caps[square].
 
         caps maps each target square to its largest level; the result is
@@ -367,21 +343,20 @@ class _SliceContext:
         not in even, or stops when there is none.  A context built with m
         (not proportional to g) leaves out every x with (x, m) > 0.
 
-        At a scale where a square in even is walked, res is the parity
-        residue of x at the leaf: 0 exactly when x has even divisibility,
-        negative below a node that had no even completion.  Elsewhere the
-        walk does not track it (every residue reads 0), and res is None.
+        res is the parity residue of x at the leaf: 0 exactly when x has
+        even divisibility, negative below a node that had no even
+        completion.
 
         nearest = (groups, (g, g), (m, m), (g, m)) walks only toward the
         first wall the segment from g to m crosses.  With k = (x, g) and
         j = (x, m), x crosses it at k/(k - j); a/b, the smallest crossing
-        of a hit that is a wall (see _hit_div), starts at 1/1.  The clip
+        of a hit that is a wall (see _wall_div), starts at 1/1.  The clip
         becomes j <= -ceil(k(b - a)/a), and the walk stops at the first
         level k where Cauchy-Schwarz leaves no x of the walked squares that
         far out.  Both bounds are inclusive, so every wall crossing at the
         final a/b is returned; hits farther out may be returned too.
         """
-        found: list[tuple[int, tuple[int, ...], int | None]] = []
+        found: list[tuple[int, tuple[int, ...], int]] = []
         d, nk, q_num, q_den = self.d, len(self.kernel), self.q_num, self.q_den
         denoms, weights, rows, columns = self.denoms, self.weights, self.centre_rows, self.columns
         top = nk - 1
@@ -408,7 +383,8 @@ class _SliceContext:
         # node at level i, or -1 once it has no even completion (its budget
         # is then shifted, and so is that of every node below it)
         res = [0] * (nk + 1)
-        gf2 = self._parity() if not even.isdisjoint(caps) else None
+        coords, rho = self._parity()
+        q1, rho1 = coords[slot], rho[1] if nk else 0
         start = -(-first // d)
         # the squares a scale asks for change only where it passes a cap
         for cap in sorted(set(caps.values())):
@@ -419,15 +395,9 @@ class _SliceContext:
             low = squares[0]
             # square s leaves (s - low)*q_den less budget than the lowest one
             leaves = [(s, (s - low) * q_den, s in even) for s in squares]
-            # without an even-only square every node passes: all residues 0
-            tracked = not even.isdisjoint(squares)
-            if tracked:
-                coords, rho = gf2
-            else:
-                coords, rho = [0] * (nk + 2), [0] * (nk + 1)
-            q1, rho1 = coords[slot], rho[1] if nk else 0
             # a node with no even completion walks on with the budget of the
-            # lowest square that allows divisibility 1, or not at all
+            # lowest square that allows divisibility 1 (0 more when no square
+            # is even-only), or not at all
             odd_leaves = [leaf for leaf in leaves if not leaf[2]]
             shift = odd_leaves[0][1] if odd_leaves else None
             shifted_leaves = [(s, off - shift, False) for s, off, _ in odd_leaves]
@@ -450,9 +420,8 @@ class _SliceContext:
                 if nk == 0:
                     x = tuple(scale * c for c in self.u)
                     # rho[0] = 0: a scale that passed has r == 0, even x
-                    residue = r if tracked else None
                     found.extend(
-                        (s, x, residue) for s, off, _ in (shifted_leaves if r < 0 else leaves) if budget == off
+                        (s, x, r) for s, off, _ in (shifted_leaves if r < 0 else leaves) if budget == off
                     )
                     continue
                 t[nk], res[nk] = scale, r
@@ -512,16 +481,12 @@ class _SliceContext:
                                         if parity and residue:
                                             continue
                                         x = tuple(sum(map(mul, col, t)) for col in columns)
-                                        if not tracked:
-                                            residue = None
                                         found.append((s, x, residue))
                                         if nearest is None:
                                             continue
                                         # a wall crossing before a/b tightens the bound
                                         k, j = scale * d, scale * u_m + m_step * t[top]
-                                        if k * b < a * (k - j) and _hit_div(
-                                            self.picard, s, x, residue, groups[s]
-                                        ):
+                                        if k * b < a * (k - j) and _wall_div(x, residue, groups[s]):
                                             a, b = k, k - j
                                             # at this scale the clip is now t[top] <= its
                                             # value (a rank-3 level-1 loop runs its range out)
@@ -579,19 +544,14 @@ def _collect_walls(
     the walls orthogonal to g.  nearest = ((g, g), (m, m), (g, m)) walks
     only toward the first crossing (see _SliceContext.solutions): the
     result then holds every wall crossed first, and maybe some others.
-
-    Each hit's divisibility comes from _hit_div: read from the walk's
-    parity residue (2 when it is 0, else 1, with no gcd taken) when the
-    square is squarefree, the Picard lattice's dual index is at most 2 and
-    an even-only square was walked at the hit's level; from _wall_div
-    otherwise.
+    Each hit's divisibility is read from its parity residue (_wall_div).
     """
     even = {square for square, divs in groups.items() if 1 not in divs}
     if nearest is not None:
         nearest = (groups, *nearest)
     walls: list[WallClass] = []
     for square, x, res in _SliceContext(picard, g, m).solutions(caps, first, even, nearest):
-        div = _hit_div(picard, square, x, res, groups[square])
+        div = _wall_div(x, res, groups[square])
         if div:
             walls.append(WallClass(x, picard._to_ambient(x), square, div))
     walls.sort(key=lambda wall: wall.rho_picard)
@@ -710,7 +670,7 @@ def brute_force_walls(query: WallQuery, box: int) -> list[WallClass]:
     walls = []
     for x in candidates:
         ambient = picard.to_ambient(x)
-        div = picard.ambient.divisibility(ambient)
+        div = divisibility(ambient)
         square = picard.square(x)
         if div in groups[square] and gcd(*ambient) == 1:
             walls.append(WallClass(tuple(x), ambient, square, div))

@@ -18,7 +18,6 @@ from operator import mul
 
 from .rational_linalg import (
     check_symmetric,
-    column_reduce,
     determinant,
     inertia,
     saturation_index,
@@ -117,11 +116,7 @@ class AmbientLattice:
 
     def divisibility(self, v) -> int:
         """Positive generator of the ideal (v, Lambda) of pairings."""
-        return self._divisibility(_as_vector(v, self.rank))
-
-    def _divisibility(self, v) -> int:
-        """divisibility() for an integer tuple of the right length."""
-        d = math.gcd(*self._gram_times(v))
+        d = math.gcd(*self._gram_times(_as_vector(v, self.rank)))
         if d == 0:
             raise ValueError("divisibility of the zero vector is undefined")
         return d
@@ -224,7 +219,7 @@ def signature_of(gram) -> tuple[int, int, int]:
 
 
 class PicardLattice:
-    """A sublattice of divisor classes embedded in the ambient lattice.
+    """A sublattice of divisor classes embedded in the K3^[2] lattice.
 
     Vectors handed to the methods are in Picard coordinates with respect to
     the stored basis; the basis itself is a tuple of ambient vectors, and it
@@ -234,12 +229,13 @@ class PicardLattice:
     The underscored methods skip validation; they are for callers inside
     the package that pass integer tuples of the right length they built
     themselves.  Because the basis is saturated, x is primitive in the
-    ambient lattice exactly when gcd(*x) == 1.
+    ambient lattice exactly when gcd(*x) == 1.  The discriminant group of
+    K3^[2] is Z/2, so a primitive x has divisibility 1 or 2, and it is 2
+    exactly when the _parity_masks of its odd coordinates XOR to 0.
     """
 
-    def __init__(self, basis: Iterable[Sequence[int]], ambient: AmbientLattice = K3_2_LATTICE):
-        self.ambient = ambient
-        self.basis = tuple(_as_vector(b, ambient.rank) for b in basis)
+    def __init__(self, basis: Iterable[Sequence[int]]):
+        self.basis = tuple(_as_vector(b, AMBIENT_RANK) for b in basis)
         if not self.basis:
             raise ValueError("Picard basis must be nonempty")
         index = saturation_index(self.basis)
@@ -251,8 +247,11 @@ class PicardLattice:
                 "saturation; supply a basis of the saturated lattice"
             )
         # one ambient Gram product per basis row; the rows are already checked
-        rows = [ambient._gram_times(x) for x in self.basis]
+        rows = [K3_2_LATTICE._gram_times(x) for x in self.basis]
         self.gram = tuple(tuple(sum(map(mul, row, y)) for y in self.basis) for row in rows)
+        # bit a of mask i is the parity of (basis_i, e_a): x has even ambient
+        # divisibility exactly when the masks of its odd coordinates XOR to 0
+        self._parity_masks = tuple(sum(1 << a for a, p in enumerate(row) if p & 1) for row in rows)
         # the nonzero (index, value) pairs of each basis row, for _to_ambient
         self._nonzero_basis = tuple(
             tuple((i, bi) for i, bi in enumerate(b) if bi) for b in self.basis
@@ -282,49 +281,12 @@ class PicardLattice:
         return self._to_ambient(_as_vector(x, self.rank))
 
     def _to_ambient(self, x) -> tuple[int, ...]:
-        out = [0] * self.ambient.rank
+        out = [0] * AMBIENT_RANK
         for c, row in zip(x, self._nonzero_basis):
             if c:
                 for i, bi in row:
                     out[i] += c * bi
         return tuple(out)
-
-    def _divisibility(self, x) -> int:
-        """Ambient divisibility of the nonzero Picard vector x.
-
-        It is the gcd of x against the columns of the r x 23 matrix of
-        ambient pairings of the basis (r the rank), and so against any r
-        integer forms that span those columns; x never leaves Picard
-        coordinates.
-        """
-        return math.gcd(*[sum(map(mul, form, x)) for form in self._divisibility_forms])
-
-    @cached_property
-    def _divisibility_forms(self) -> list[list[int]]:
-        # built on first use, so lattices that never filter walls skip it
-        reduced = column_reduce([self.ambient._gram_times(b) for b in self.basis])
-        return [[row[c] for row in reduced] for c in range(self.rank)]
-
-    @cached_property
-    def _dual_index(self) -> int:
-        """Index of the ambient lattice's image in the dual of this one.
-
-        The product of the pivots of the (triangular) divisibility forms.
-        The divisibility of every primitive x divides it, and it divides
-        |det| of the ambient lattice: it is 1 or 2 in K3^[2].
-        """
-        forms = self._divisibility_forms
-        return math.prod(forms[i][i] for i in range(self.rank))
-
-    @cached_property
-    def _parity_masks(self) -> list[int]:
-        # bit f of entry a is coefficient a of divisibility form f, mod 2:
-        # x has even divisibility exactly when the masks of its odd
-        # coordinates XOR to 0
-        forms = self._divisibility_forms
-        return [
-            sum((form[a] & 1) << f for f, form in enumerate(forms)) for a in range(self.rank)
-        ]
 
     def from_ambient(self, v) -> tuple[Fraction, ...] | None:
         """Rational Picard coordinates of an ambient vector, or None.
@@ -333,7 +295,7 @@ class PicardLattice:
         whose Euclidean Gram is positive definite; v lies in the rational
         span exactly when x^T B gives it back.
         """
-        vv = _as_vector(v, self.ambient.rank)
+        vv = _as_vector(v, AMBIENT_RANK)
         basis = self.basis
         euclid = [[sum(map(mul, b, c)) for c in basis] for b in basis]
         x = tuple(solve_exact(euclid, [sum(map(mul, b, vv)) for b in basis]))

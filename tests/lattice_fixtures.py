@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 import random
+from math import gcd
 
-from hyperwall import PicardLattice, basis_vector, level_bound, vector_from_labels
-from hyperwall.enumeration import _SliceContext, _wall_div
+from hyperwall import PicardLattice, basis_vector, divisibility, level_bound, vector_from_labels
+from hyperwall.enumeration import _SliceContext
 
 # The worked rank-2 lattice: h = e1 + f1 (square 2) and delta (square -2),
 # with Gram diag(2, -2).
@@ -116,7 +117,9 @@ PRUNING_TARGETS = (
 def unpruned_walls(pic, g, m, targets, level_cap=None):
     """(Picard coordinates, square, divisibility) of the walls, sorted, from
     the walk that prunes nothing by parity (no even-only square), each hit
-    filtered afterwards by _wall_div (primitivity and divisibility)."""
+    filtered afterwards on its ambient image, as brute_force_walls does: it
+    must be primitive and have an admissible divisibility.  The walk's
+    parity residue is not read."""
     groups: dict[int, set[int]] = {}
     for square, div in targets:
         groups.setdefault(square, set()).add(div)
@@ -126,7 +129,8 @@ def unpruned_walls(pic, g, m, targets, level_cap=None):
         caps[square] = bound if level_cap is None else min(bound, level_cap)
     walls = []
     for square, x, _ in _SliceContext(pic, g, m).solutions(caps, 1, frozenset()):
-        div = _wall_div(pic, x, groups[square])
-        if div:
+        ambient = pic.to_ambient(x)
+        div = divisibility(ambient)
+        if gcd(*ambient) == 1 and div in groups[square]:
             walls.append((x, square, div))
     return sorted(walls)

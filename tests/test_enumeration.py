@@ -446,40 +446,26 @@ class TestIntegerKernel:
 
 
 class TestDivisibilityReadout:
-    """Walls get their divisibility from the walk's parity residue only for
-    squarefree squares in a Picard lattice of dual index at most 2."""
-
-    def test_squarefree_squares(self):
-        squares = (-1, -2, -4, -6, -8, -10, -12, -18, -30, -50)
-        assert [s for s in squares if enumeration._squarefree(s)] == [-1, -2, -6, -10, -30]
-
-    def test_custom_ambient_keeps_the_filter(self):
-        # U + <-6>: a primitive (-6) class may have divisibility 6, which is
-        # even; read as 2 from the parity it would give 18 walls, not 12
-        ambient = AmbientLattice(((0, 1, 0), (1, 0, 0), (0, 0, -6)), ("e", "f", "d"))
-        pic = PicardLattice([(1, 0, 0), (0, 1, 0), (0, 0, 1)], ambient)
-        assert pic._dual_index == 6 == pic._divisibility((0, 0, 1))
-        query = WallQuery(pic, (1, 2, 0), targets=((-6, 2),), level_cap=12)
-        walls = enumerate_walls(query)
-        assert len(walls) == 12
-        assert walls == brute_force_walls(query, 30)
+    """Every wall gets its divisibility from the walk's parity residue: the
+    one gcd a hit costs is its primitivity test."""
 
     @pytest.mark.parametrize(
-        "targets,count,filtered,forms",
+        "targets,count,hits",
         [
-            (DEFAULT_TARGETS, 216, 0, 0),
-            # -8 is not squarefree: its 37 hits go through _wall_div, and all
-            # of them are twice a (-2) class, dropped by the gcd before the forms
-            (((-2, 1), (-2, 2), (-8, 2), (-10, 2)), 216, 37, 0),
-            # no even-only square: the walk tracks no parity
-            (((-2, 1), (-2, 2)), 183, 183, 183),
+            (DEFAULT_TARGETS, 216, 216),
+            # the 37 (-8) hits are all twice a (-2) class: even, but dropped
+            # by the primitivity gcd
+            (((-2, 1), (-2, 2), (-8, 2), (-10, 2)), 216, 253),
+            # no even-only square: no node is pruned, every hit is a wall
+            (((-2, 1), (-2, 2)), 183, 183),
         ],
     )
     def test_divisibility_forms_only_where_the_parity_cannot_tell(
-        self, monkeypatch, targets, count, filtered, forms
+        self, monkeypatch, targets, count, hits
     ):
-        """Capped L(5): calls of _wall_div and of PicardLattice._divisibility."""
-        calls = {"filter": 0, "forms": 0}
+        """Capped L(5): calls of _wall_div, of gcd in the enumerator and of
+        the ambient divisibility gcd, which no target set needs."""
+        calls = {"filter": 0, "gcd": 0, "forms": 0}
 
         def counted(key, fn):
             def wrapped(*args):
@@ -489,12 +475,13 @@ class TestDivisibilityReadout:
             return wrapped
 
         monkeypatch.setattr(enumeration, "_wall_div", counted("filter", enumeration._wall_div))
-        monkeypatch.setattr(PicardLattice, "_divisibility", counted("forms", PicardLattice._divisibility))
+        monkeypatch.setattr(enumeration, "gcd", counted("gcd", gcd))
+        monkeypatch.setattr(AmbientLattice, "divisibility", counted("forms", AmbientLattice.divisibility))
         walls = enumerate_walls(
             WallQuery(ladder_picard(5), (16, 4, -5, -4, 4), targets=targets, level_cap=160)
         )
         assert len(walls) == count
-        assert calls == {"filter": filtered, "forms": forms}
+        assert calls == {"filter": hits, "gcd": hits, "forms": 0}
 
 
 class TestParityPruning:

@@ -73,21 +73,26 @@ def ambient_walls(pic, g, m):
     return [w.rho_ambient for w in enumerate_walls(WallQuery(pic, g, m=m))]
 
 
+def parity_readout(pic, x) -> int:
+    """XOR of the parity masks over the odd coordinates of x."""
+    out = 0
+    for c, mask in zip(x, pic._parity_masks):
+        if c & 1:
+            out ^= mask
+    return out
+
+
 class TestPicardDivisibility:
     @PROPERTY_SETTINGS
     @given(lattice_and_vector())
     def test_equals_ambient_divisibility(self, case):
         pic, x = case
-        assert pic._divisibility(x) == K3_2_LATTICE.divisibility(pic.to_ambient(x))
-
-    @PROPERTY_SETTINGS
-    @given(lattice_and_vector())
-    def test_divides_the_dual_index(self, case):
-        pic, x = case
-        # the dual index divides |det| = 2 of the ambient lattice
-        assert pic._dual_index in (1, 2)
+        div = K3_2_LATTICE.divisibility(pic.to_ambient(x))
+        # the readout is the divisibility mod 2 of every vector
+        assert (parity_readout(pic, x) == 0) == (div % 2 == 0)
+        # and all of it for a primitive one: the discriminant group is Z/2
         if gcd(*x) == 1:
-            assert pic._dual_index % pic._divisibility(x) == 0
+            assert div == (1 if parity_readout(pic, x) else 2)
 
     @PROPERTY_SETTINGS
     @given(lattice_and_vector())
@@ -192,18 +197,17 @@ class TestEvenSquares:
             caps = {s: data.draw(st.integers(min_value=0, max_value=12)) for s in squares}
         first = data.draw(st.integers(min_value=0, max_value=1))
         even = set(data.draw(st.lists(st.sampled_from(squares), unique=True)))
-        expected = sorted(
-            (s, x) for s, x, _ in ctx.solutions(caps, first=first)
-            if s not in even or pic._divisibility(x) % 2 == 0
-        )
+
+        def even_div(x):
+            return K3_2_LATTICE.divisibility(pic.to_ambient(x)) % 2 == 0
+
+        plain = ctx.solutions(caps, first=first)
+        expected = sorted((s, x) for s, x, _ in plain if s not in even or even_div(x))
         hits = ctx.solutions(caps, first, even=even)
         assert sorted((s, x) for s, x, _ in hits) == expected
-        for _, x, res in hits:
-            # the residue is tracked exactly at the levels an even square reaches
-            if any(caps[s] >= pic.pair(x, g) for s in even):
-                assert (res == 0) == (pic._divisibility(x) % 2 == 0)
-            else:
-                assert res is None
+        # the residue is exact at every hit, with or without pruning
+        for _, x, res in plain + hits:
+            assert (res == 0) == even_div(x)
 
 
 class TestParityPruning:
@@ -294,9 +298,8 @@ def first_crossing(pic, g, m, targets=DEFAULT_TARGETS):
     return tau, tuple(w for w in walls if crossings[w] == tau)
 
 
-# squarefree squares read from the parity, a non-squarefree one kept on
-# _wall_div, walks with no even-only square to track the parity, and (with m)
-# levels past the cap of the only even-only square, where it is not tracked
+# squarefree and non-squarefree squares, walks with no even-only square,
+# and (with m) levels past the cap of the only even-only square
 READOUT_TARGETS = (
     DEFAULT_TARGETS,
     ((-8, 2),),
@@ -308,8 +311,8 @@ READOUT_TARGETS = (
 
 
 class TestDivisibilityReadout:
-    """Divisibility read from the walk's parity residue equals the _wall_div
-    filter of the walk that tracks no parity."""
+    """Divisibility read from the walk's parity residue equals the ambient
+    divisibility on the hits of the walk that prunes nothing."""
 
     @PROPERTY_SETTINGS
     @given(st.integers(min_value=2, max_value=5), seeds, st.sampled_from(READOUT_TARGETS), st.booleans())
