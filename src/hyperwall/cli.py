@@ -19,6 +19,7 @@ from fractions import Fraction
 from .cohomology import lagrangian_eliminant, lagrangian_solver
 from .cones import (
     PreconditionError,
+    classify_square_div,
     classify_wall,
     detect_isotropic_boundary,
     is_ample,
@@ -157,7 +158,7 @@ def _targets_flag(text: str) -> tuple[tuple[int, int], ...]:
 
 
 def _wall_payload(wall: WallClass) -> dict:
-    ray = classify_wall(wall.rho_ambient)
+    ray = classify_square_div(wall.square, wall.div)
     return {
         "picard": list(wall.rho_picard),
         "ambient": list(wall.rho_ambient),

@@ -12,6 +12,7 @@ import math
 from collections import namedtuple
 from fractions import Fraction
 from math import isqrt
+from operator import mul
 
 from .lattice import AMBIENT_RANK, CurveClass, _as_vector, bb_pair, divisibility
 from .rational_linalg import _cleared
@@ -86,46 +87,34 @@ def square_class(alpha, coeff=1, qdual_coeff=0) -> MiddleClass:
     )
 
 
-def _tensor_trace(x: MiddleClass) -> Fraction:
-    """Sum of c_ij (b_i, b_j) over the tensor of x."""
-    total = Fraction(0)
-    n = len(x.basis)
-    for i in range(n):
-        for j in range(n):
-            if x.tensor[i][j]:
-                total += x.tensor[i][j] * bb_pair(x.basis[i], x.basis[j])
-    return total
-
-
 def middle_pair(x: MiddleClass, y: MiddleClass) -> Fraction:
     """Bilinear symmetric pairing on middle cohomology.
 
     Tensor parts pair through quad_product; q pairs with a tensor through
     25(a,b) and with itself through 575.  Classes with nontrivial tensors
-    must share a basis.
+    must share a basis.  With G the Gram of that basis and C, D the two
+    tensors, the sum of c_ij d_kl quad_product(b_i, b_j, b_k, b_l) is
+    tr(CG) tr(DG) + 2 tr(CGDG), and q pairs with C as 25 tr(CG).
     """
     if x.has_tensor_part and y.has_tensor_part and x.basis != y.basis:
         raise ValueError("middle classes are expressed over different bases")
-    total = x.qdual_coeff * y.qdual_coeff * QDUAL_SELF_PAIRING
-    if y.has_tensor_part:
-        total += x.qdual_coeff * QDUAL_DIVISOR_FACTOR * _tensor_trace(y)
-    if x.has_tensor_part:
-        total += y.qdual_coeff * QDUAL_DIVISOR_FACTOR * _tensor_trace(x)
-    if x.has_tensor_part and y.has_tensor_part:
-        n = len(x.basis)
-        for i in range(n):
-            for j in range(n):
-                cij = x.tensor[i][j]
-                if not cij:
-                    continue
-                for k in range(n):
-                    for l in range(n):
-                        dkl = y.tensor[k][l]
-                        if dkl:
-                            total += cij * dkl * quad_product(
-                                x.basis[i], x.basis[j], y.basis[k], y.basis[l]
-                            )
-    return total
+    basis = x.basis if x.has_tensor_part else y.basis
+    n = len(basis)
+    gram = [[bb_pair(u, v) for v in basis] for u in basis]
+    # C G and D G; gram is symmetric, so its rows are its columns
+    cg, dg = (
+        [[sum(map(mul, row, col)) for col in gram] for row in z.tensor]
+        if z.has_tensor_part else [[0] * n] * n
+        for z in (x, y)
+    )
+    tc = sum(cg[i][i] for i in range(n))
+    td = sum(dg[i][i] for i in range(n))
+    return (
+        x.qdual_coeff * y.qdual_coeff * QDUAL_SELF_PAIRING
+        + QDUAL_DIVISOR_FACTOR * (x.qdual_coeff * td + y.qdual_coeff * tc)
+        + tc * td
+        + 2 * sum(cg[i][j] * dg[j][i] for i in range(n) for j in range(n))
+    )
 
 
 class PlaneSolution(namedtuple("PlaneSolution", "lambda_square a b admissible")):
@@ -147,77 +136,29 @@ class PlaneSolution(namedtuple("PlaneSolution", "lambda_square a b admissible"))
         return self_pairing, chern, hyperplane
 
 
-def _poly_mul(p, q):
-    out = [Fraction(0)] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a:
-            for j, b in enumerate(q):
-                if b:
-                    out[i + j] += a * b
-    return out
-
-
-def _poly_add(*polys):
-    n = max(len(p) for p in polys)
-    out = [Fraction(0)] * n
-    for p in polys:
-        for i, a in enumerate(p):
-            out[i] += a
-    return out
-
-
-def _poly_scale(c, p):
-    return [c * a for a in p]
-
-
-def _cramer_polynomials():
-    """(det, num_a, num_b) in x = (lambda, lambda): a = num_a / det, b = num_b / det.
-
-    Cramer's rule on the two equations linear in (a, b):
-    575 a + 25 b x = -5/2   (Chern constraint divided by 6/5)
-    25 x a + 3 x^2 b = x^2 / 4   (hyperplane-degree constraint)
-    """
-    one = [Fraction(1)]
-    xpoly = [Fraction(0), Fraction(1)]
-    x2 = _poly_mul(xpoly, xpoly)
-    a11, a12, r1 = _poly_scale(575, one), _poly_scale(25, xpoly), [Fraction(-5, 2)]
-    a21, a22, r2 = _poly_scale(25, xpoly), _poly_scale(3, x2), _poly_scale(Fraction(1, 4), x2)
-    det = _poly_add(_poly_mul(a11, a22), _poly_scale(-1, _poly_mul(a12, a21)))
-    num_a = _poly_add(_poly_mul(r1, a22), _poly_scale(-1, _poly_mul(a12, r2)))
-    num_b = _poly_add(_poly_mul(a11, r2), _poly_scale(-1, _poly_mul(r1, a21)))
-    return det, num_a, num_b
+# The plane system.  A Lagrangian plane P has [P].[P] = c2(N_P) = 3 and
+# c2.[P] = -3.  Write [P] = a q + b lambda^2 with x = (lambda, lambda) != 0
+# and c = b x.  Then [P].[P] = (a, c) M (a, c)^T for the Gram M below
+# (lambda^4 = 3 x^2), and the conditions c2.[P] = -3 (through c2 = (6/5) q)
+# and lambda^2.[P] = x^2 / 4 read M (a, c) = r(x) = (r0, x / 4).
+_PLANE_GRAM = ((QDUAL_SELF_PAIRING, QDUAL_DIVISOR_FACTOR), (QDUAL_DIVISOR_FACTOR, 3))
+_PLANE_R0 = -3 / C2_QDUAL_MULTIPLE
 
 
 def lagrangian_eliminant() -> tuple[int, int, int]:
     """Integer coefficients (A, B, C) of the eliminant A x^2 + B x + C = 0.
 
-    Derived by exact elimination: solve the two equations linear in (a, b)
-    by Cramer's rule with coefficients polynomial in x = (lambda, lambda),
-    substitute into the self-pairing equation and clear denominators.
+    With (a, c) = M^-1 r(x), the self-pairing condition [P].[P] = 3 reads
+    r^T adj(M) r = 3 det M, a quadratic in x = (lambda, lambda); its
+    coefficients are cleared of denominators and of their common factor.
     """
-    xpoly = [Fraction(0), Fraction(1)]
-    x2 = _poly_mul(xpoly, xpoly)
-    det, num_a, num_b = _cramer_polynomials()
-    # Self-pairing equation times det^2:
-    # 575 num_a^2 + 50 num_a num_b x + 3 num_b^2 x^2 - 3 det^2 = 0
-    poly = _poly_add(
-        _poly_scale(575, _poly_mul(num_a, num_a)),
-        _poly_scale(50, _poly_mul(_poly_mul(num_a, num_b), xpoly)),
-        _poly_scale(3, _poly_mul(_poly_mul(num_b, num_b), x2)),
-        _poly_scale(-3, _poly_mul(det, det)),
-    )
-    while poly and poly[-1] == 0:
-        poly.pop()
-    low = next(i for i, c in enumerate(poly) if c)
-    poly = poly[low:]
-    if len(poly) != 3:
-        raise AssertionError("elimination did not produce a quadratic")
+    (m00, m01), (_, m11) = _PLANE_GRAM
+    r0 = _PLANE_R0
+    # r^T adj(M) r - 3 det M with r = (r0, x/4): coefficients of 1, x, x^2
+    poly = (m11 * r0 * r0 - 3 * (m00 * m11 - m01 * m01), -m01 * r0 / 2, Fraction(m00, 16))
     _, ints = _cleared(poly)
     content = math.gcd(*ints)
-    ints = [c // content for c in ints]
-    if ints[-1] < 0:
-        ints = [-c for c in ints]
-    c0, c1, c2 = ints
+    c0, c1, c2 = (c // content for c in ints)
     return c2, c1, c0
 
 
@@ -226,9 +167,10 @@ def lagrangian_solver() -> list[PlaneSolution]:
 
     Solves the three coupled conditions on (x, a, b) where x is the square
     of the plane's primitive divisor class lambda and [plane] = a q +
-    b lambda^2.  Both roots of the eliminant are reported; only an even
-    negative integer can be the square of an actual lattice class, and that
-    root is flagged admissible.
+    b lambda^2.  Both roots of the eliminant are reported, each with
+    (a, c) = M^-1 r(x) and b = c / x; only an even negative integer can be
+    the square of an actual lattice class, and that root is flagged
+    admissible.
     """
     qa, qb, qc = lagrangian_eliminant()
     disc = qb * qb - 4 * qa * qc
@@ -238,14 +180,16 @@ def lagrangian_solver() -> list[PlaneSolution]:
     xs = sorted(
         (Fraction(-qb - root, 2 * qa), Fraction(-qb + root, 2 * qa))
     )
-    cramer = _cramer_polynomials()
+    (m00, m01), (_, m11) = _PLANE_GRAM
+    det = m00 * m11 - m01 * m01
+    r0 = _PLANE_R0
     solutions = []
     for x in xs:
-        det, num_a, num_b = (sum(c * x**i for i, c in enumerate(p)) for p in cramer)
-        a = num_a / det
-        b = num_b / det
+        r1 = x / 4
+        a = (m11 * r0 - m01 * r1) / det
+        c = (m00 * r1 - m01 * r0) / det
         admissible = x.denominator == 1 and x < 0 and int(x) % 2 == 0
-        solutions.append(PlaneSolution(x, a, b, admissible))
+        solutions.append(PlaneSolution(x, a, c / x, admissible))
     solutions.sort(key=lambda s: not s.admissible)
     return solutions
 

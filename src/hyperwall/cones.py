@@ -18,7 +18,7 @@ from .enumeration import (
     WallClass,
     WallQuery,
     _collect_walls,
-    _query_caps,
+    _level_cap,
     _target_groups,
     _validate_targets,
     enumerate_walls,
@@ -202,15 +202,20 @@ def nef_threshold(
     bound is inclusive, so every wall at tau is found.
     """
     gcoords = tuple(g)
+    # read a one-shot iterable once; an empty one is validate_polarization's to reject
+    targets = tuple(targets) if targets else targets
     validate_polarization(picard, gcoords, targets)
     coords = tuple(m)
-    if picard.square(coords) <= 0:
+    mm = picard.square(coords)
+    if mm <= 0:
         raise PreconditionError("nef_threshold requires (m, m) > 0")
-    if picard._pair(coords, gcoords) <= 0:
+    gm = picard._pair(coords, gcoords)
+    if gm <= 0:
         raise PreconditionError("nef_threshold requires (m, g) > 0")
-    query = WallQuery(picard, gcoords, m=coords, targets=tuple(targets))
-    groups, caps, pairings = _query_caps(query)
-    walls = _collect_walls(picard, gcoords, coords, groups, caps, nearest=pairings)
+    gg = picard._pair(gcoords, gcoords)
+    groups = _target_groups(targets)
+    caps = {square: _level_cap(square, gg, mm, gm) for square in groups}
+    walls = _collect_walls(picard, gcoords, coords, groups, caps, nearest=(gg, mm, gm))
     if not walls:
         return Fraction(1), ()
     crossings = []

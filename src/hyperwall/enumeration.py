@@ -175,6 +175,8 @@ def level_bound(picard: PicardLattice, g, m, square: int) -> int:
     """
     if m is None:
         raise ValueError("level_bound needs a second positive class m")
+    if not _plain_int(square):
+        raise ValueError("square must be a plain integer")
     if not picard.is_hyperbolic():
         raise ValueError("Picard lattice must have signature (1, rank-1)")
     return _level_cap(square, *_positive_cone(picard, g, m))
@@ -524,6 +526,8 @@ class _SliceContext:
 
 def slice_solutions(picard: PicardLattice, g, k: int, square: int) -> list[tuple[int, ...]]:
     """Lattice vectors on the affine slice (x, g) = k with the given square."""
+    if not (_plain_int(k) and _plain_int(square)):
+        raise ValueError("slice level k and square must be plain integers")
     if k < 1:
         raise ValueError("slice level k must be at least 1")
     g = tuple(g)
@@ -566,13 +570,6 @@ def enumerate_walls(query: WallQuery) -> list[WallClass]:
     level_cap is required, and the result is then complete up to
     (rho, g) <= level_cap.
     """
-    groups, caps, _ = _query_caps(query)
-    return _collect_walls(query.picard, query.g, query.m, groups, caps)
-
-
-def _query_caps(query: WallQuery):
-    """Check the query; return its target groups, the level cap of each
-    square and the pairings (g, g), (m, m), (g, m)."""
     pairings = _validate_query(query)
     cap = query.level_cap
     if query.m is None and cap is None:
@@ -585,7 +582,7 @@ def _query_caps(query: WallQuery):
     for square in groups:
         bound = cap if query.m is None else _level_cap(square, *pairings)
         caps[square] = bound if cap is None else min(bound, cap)
-    return groups, caps, pairings
+    return _collect_walls(query.picard, query.g, query.m, groups, caps)
 
 
 def _python_scan(picard, g, m, cap, box, squares) -> list[tuple[int, ...]]:

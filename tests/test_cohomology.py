@@ -56,7 +56,49 @@ class TestQuadProduct:
         ) + t * quad_product(e, b, c, d)
 
 
+def quad_product_pair(x, y):
+    """middle_pair by its definition: the literal sum of c_ij d_kl
+    quad_product(b_i, b_j, b_k, b_l), q against a tensor through 25(a, b)
+    and q against itself through 575."""
+    total = x.qdual_coeff * y.qdual_coeff * 575
+    for cls, other in ((x, y), (y, x)):
+        for i, bi in enumerate(cls.basis):
+            for j, bj in enumerate(cls.basis):
+                total += other.qdual_coeff * 25 * cls.tensor[i][j] * bb_pair(bi, bj)
+    for i, bi in enumerate(x.basis):
+        for j, bj in enumerate(x.basis):
+            for k, bk in enumerate(y.basis):
+                for l, bl in enumerate(y.basis):
+                    total += x.tensor[i][j] * y.tensor[k][l] * quad_product(bi, bj, bk, bl)
+    return total
+
+
+def random_middle_class(rng, basis, with_q):
+    n = len(basis)
+    tensor = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1):
+            tensor[i][j] = tensor[j][i] = Fraction(rng.randint(-6, 6), rng.randint(1, 5))
+    q = Fraction(rng.randint(-6, 6), rng.randint(1, 5)) if with_q else 0
+    return MiddleClass(basis, tensor, q)
+
+
 class TestMiddlePair:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_equals_the_quad_product_sum(self, seed):
+        rng = random.Random(seed)
+        for n in (1, 2, 3, 4):
+            basis = tuple(random_ambient(rng, 4) for _ in range(n))
+            for qx, qy in itertools.product((False, True), repeat=2):
+                x = random_middle_class(rng, basis, qx)
+                y = random_middle_class(rng, basis, qy)
+                assert middle_pair(x, y) == quad_product_pair(x, y)
+                assert type(middle_pair(x, y)) is Fraction
+                # a class with no tensor part pairs through its q part alone
+                pure_q = MiddleClass((), (), y.qdual_coeff)
+                assert middle_pair(x, pure_q) == quad_product_pair(x, pure_q)
+                assert middle_pair(pure_q, x) == quad_product_pair(pure_q, x)
+
     def test_qdual_self_pairing(self):
         assert middle_pair(q_dual(), q_dual()) == 575
 
@@ -98,6 +140,15 @@ class TestMiddlePair:
     def test_basis_mismatch_rejected(self):
         with pytest.raises(ValueError, match="bases"):
             middle_pair(square_class(H), square_class(DELTA))
+        rng = random.Random(100)
+        for n in (1, 2, 3, 4):
+            x, y = (
+                random_middle_class(rng, tuple(random_ambient(rng, 4) for _ in range(n)), True)
+                for _ in range(2)
+            )
+            assert x.has_tensor_part and y.has_tensor_part and x.basis != y.basis
+            with pytest.raises(ValueError, match="different bases"):
+                middle_pair(x, y)
 
     def test_pure_qdual_multiple_is_basis_agnostic(self):
         cls = square_class(H, coeff=0, qdual_coeff=2)
@@ -160,6 +211,26 @@ class TestLagrangianSolver:
         for sol in lagrangian_solver():
             x = sol.lambda_square
             assert qa * x * x + qb * x + qc == 0
+
+    def test_sympy_solves_the_same_system(self):
+        # the three plane conditions solved symbolically, independently of
+        # the package's closed form: [P].[P] = 3, c2.[P] = -3, lambda^2.[P] = x^2 / 4
+        sympy = pytest.importorskip("sympy")
+        x, a, b = sympy.symbols("x a b")
+        equations = [
+            575 * a**2 + 50 * a * b * x + 3 * b**2 * x**2 - 3,
+            sympy.Rational(6, 5) * (575 * a + 25 * b * x) + 3,
+            25 * a * x + 3 * b * x**2 - x**2 / 4,
+        ]
+        expected = {
+            (Fraction(str(s[x])), Fraction(str(s[a])), Fraction(str(s[b])))
+            for s in sympy.solve(equations, [x, a, b], dict=True)
+        }
+        assert expected == {
+            (Fraction(-10), Fraction(1, 20), Fraction(1, 8)),
+            (Fraction(210, 23), Fraction(-27, 460), Fraction(23, 168)),
+        }
+        assert {(s.lambda_square, s.a, s.b) for s in lagrangian_solver()} == expected
 
     def test_consistency_with_middle_pairing(self):
         # with lambda a concrete (-10)-class: [plane] = a q + b lambda^2

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from hyperwall import (
+    DEFAULT_TARGETS,
     AmpleStatus,
     PicardLattice,
     PreconditionError,
@@ -269,6 +270,13 @@ class TestNefThreshold:
             assert Fraction(num, den) > tau
             cls = segment_class(num, den, m, FIXTURE_G)
             assert is_ample(pic, FIXTURE_G, cls).status is AmpleStatus.NOT_NEF
+
+    def test_targets_from_a_one_shot_iterable(self):
+        # the targets are read twice (polarization check, then the walk)
+        pic = rank2_picard()
+        assert nef_threshold(pic, FIXTURE_G, (2, 1), iter(DEFAULT_TARGETS)) == nef_threshold(
+            pic, FIXTURE_G, (2, 1)
+        )
 
     def test_requires_positive_square(self):
         with pytest.raises(PreconditionError):

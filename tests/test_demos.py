@@ -1,4 +1,4 @@
-"""Smoke test: every demo script runs to completion; demo 02 prints what it printed before."""
+"""Smoke test: every demo script runs to completion; demos 02 and 03 print what they printed before."""
 
 import os
 import subprocess
@@ -18,6 +18,8 @@ DEMOS = [
 
 # demo 02's whole output: walls, slices, verdicts and the nef-threshold walk
 DEMO_02_OUTPUT = Path(__file__).resolve().parent / "demo_02_walls_and_ample_cone.out"
+# demo 03's whole output: the eliminant, both plane solutions and the witness
+DEMO_03_OUTPUT = Path(__file__).resolve().parent / "demo_03_lagrangian_planes.out"
 
 
 def run_demo(demo, cwd):
@@ -39,3 +41,9 @@ def test_demo_02_output_is_unchanged(tmp_path):
     done = run_demo("02_walls_and_ample_cone.py", tmp_path)
     assert done.returncode == 0, done.stderr.decode()
     assert done.stdout == DEMO_02_OUTPUT.read_bytes()
+
+
+def test_demo_03_output_is_unchanged(tmp_path):
+    done = run_demo("03_lagrangian_planes.py", tmp_path)
+    assert done.returncode == 0, done.stderr.decode()
+    assert done.stdout == DEMO_03_OUTPUT.read_bytes()

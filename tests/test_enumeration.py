@@ -81,6 +81,15 @@ class TestSliceSolutions:
         with pytest.raises(ValueError):
             slice_solutions(rank2_picard(), FIXTURE_G, 0, -2)
 
+    @pytest.mark.parametrize("value", [1.5, True, -2.0])
+    def test_non_integer_level_or_square_rejected(self, value):
+        # 1.5 used to give [], True to pass as 1 and -2.0 to fail in isqrt
+        pic = rank2_picard()
+        with pytest.raises(ValueError, match="plain integers"):
+            slice_solutions(pic, FIXTURE_G, value, -2)
+        with pytest.raises(ValueError, match="plain integers"):
+            slice_solutions(pic, FIXTURE_G, 2, value)
+
     def test_non_hyperbolic_data_rejected(self):
         # positive definite rank-2 sublattice: complement of g is positive
         pic = PicardLattice([H, vector_from_labels({"e2": 1, "f2": 1})])
@@ -590,6 +599,11 @@ class TestLevelBound:
             q = WallQuery(pic, g, m=m, targets=((square, 1), (square, 2)))
             for wall in enumerate_walls(q):
                 assert 1 <= pic.pair(wall.rho_picard, g) <= kmax
+
+    @pytest.mark.parametrize("square", [1.5, True, -2.0])
+    def test_non_integer_square_rejected(self, square):
+        with pytest.raises(ValueError, match="square must be a plain integer"):
+            level_bound(picard_rank3_diag(), (2, -1, 1), (3, -1, 1), square)
 
     def test_parallel_classes_give_zero(self):
         pic = rank2_picard()
