@@ -115,6 +115,13 @@ def detect_isotropic_boundary(picard: PicardLattice, m) -> bool:
     return picard.square(coords) == 0 and math.gcd(*coords) == 1
 
 
+def _read_targets(targets):
+    """A one-shot iterable of targets read once into a tuple, since callers
+    read the targets more than once; an empty one is left for
+    _validate_targets to reject."""
+    return tuple(targets) if targets else targets
+
+
 def validate_polarization(picard: PicardLattice, g, targets=DEFAULT_TARGETS) -> None:
     """Reject a polarization that fails its own ampleness test.
 
@@ -123,6 +130,7 @@ def validate_polarization(picard: PicardLattice, g, targets=DEFAULT_TARGETS) -> 
     target, which is a finite negative definite problem.  The targets are
     checked first, so bad targets raise ValueError before any verdict.
     """
+    targets = _read_targets(targets)
     _validate_targets(targets)
     if not picard.is_hyperbolic():
         raise ValueError("Picard lattice must have signature (1, rank-1)")
@@ -161,6 +169,7 @@ def is_ample(picard: PicardLattice, g, m, targets=DEFAULT_TARGETS) -> AmpleVerdi
     the finitely many found below the same cap.
     """
     gcoords = tuple(g)
+    targets = _read_targets(targets)
     validate_polarization(picard, gcoords, targets)
     coords = tuple(m)
     mm = picard.square(coords)
@@ -175,7 +184,7 @@ def is_ample(picard: PicardLattice, g, m, targets=DEFAULT_TARGETS) -> AmpleVerdi
         caps = {square: _isotropic_level_cap(square, mg, gg) for square in groups}
         witnesses = _collect_walls(picard, gcoords, coords, groups, caps)
     else:
-        query = WallQuery(picard, gcoords, m=coords, targets=tuple(targets))
+        query = WallQuery(picard, gcoords, m=coords, targets=targets)
         witnesses = enumerate_walls(query)
     if any(picard._pair(w.rho_picard, coords) < 0 for w in witnesses):
         return AmpleVerdict(AmpleStatus.NOT_NEF, tuple(witnesses), False)
@@ -202,8 +211,7 @@ def nef_threshold(
     bound is inclusive, so every wall at tau is found.
     """
     gcoords = tuple(g)
-    # read a one-shot iterable once; an empty one is validate_polarization's to reject
-    targets = tuple(targets) if targets else targets
+    targets = _read_targets(targets)
     validate_polarization(picard, gcoords, targets)
     coords = tuple(m)
     mm = picard.square(coords)

@@ -67,6 +67,7 @@ from operator import mul
 from .lattice import PicardLattice, divisibility
 from .rational_linalg import (
     _cleared,
+    _reduced,
     integer_interval,
     integral_lll,
     ldl_positive,
@@ -238,8 +239,9 @@ class _SliceContext:
     centre of level i is n_i/denoms[i].  Each level has its own
     denominator, the smallest that makes its centre integral; one common
     factor q_den then clears the weights d_i/denoms[i]^2 and the radius.
-    All of these are built once from the rational LDL data; each descent
-    node then costs one isqrt.
+    The rows come from the integer numerators of the LDL data and of the
+    solve of the centre system, each row over one common denominator that
+    _reduced cuts to the smallest; each descent node then costs one isqrt.
 
     The right-hand side is largest for the most negative square, and a
     second square s needs (s - s_low)*q_den less of it.  solutions() walks
@@ -280,19 +282,19 @@ class _SliceContext:
                 "definite; Picard data is malformed"
             ) from exc
         base = [_dot(self.u, row) for row in gram_kernel]
-        p_base = solve_exact(neg_gram, base) if nk else []
-        q_base = picard._pair(self.u, self.u) + sum(
-            (b * p for b, p in zip(base, p_base)), Fraction(0)
-        )
-        # centre of level i at t = 0, per unit of scale
-        centre = [
-            p_base[i] + sum((coef[i][j] * p_base[j] for j in range(i + 1, nk)), Fraction(0))
-            for i in range(nk)
-        ]
-        # coef is strictly upper triangular, so row i reads only t_j, j > i
-        cleared = [_cleared([*(-c for c in coef[i]), centre[i]]) for i in range(nk)]
-        self.denoms = [den for den, _ in cleared]
-        self.centre_rows = [row for _, row in cleared]
+        # the LDL centre of level i at t = 0, per unit of scale, is
+        # p_i + sum_{j>i} coef[i][j] p_j with p = xs/p_den solving
+        # neg_gram p = base; row i of coef is nums/den
+        p_den, xs = _cleared(solve_exact(neg_gram, base)) if nk else (1, [])
+        q_base = Fraction(picard._pair(self.u, self.u) * p_den + _dot(base, xs), p_den)
+        self.denoms, self.centre_rows = [], []
+        for i in range(nk):
+            den, nums = _cleared(coef[i])
+            # coef is strictly upper triangular, so row i reads only t_j, j > i
+            centre = den * xs[i] + _dot(nums, xs)
+            den, row = _reduced(den * p_den, [-p_den * c for c in nums] + [centre])
+            self.denoms.append(den)
+            self.centre_rows.append(row)
         level_weights = [di / (den * den) for di, den in zip(dvec, self.denoms)]
         self.q_den, (*self.weights, self.q_num) = _cleared([*level_weights, q_base])
         # x = columns . (t_0, ..., t_{nk-1}, scale), one column per coordinate

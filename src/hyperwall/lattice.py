@@ -38,7 +38,8 @@ _E8_EDGES = ((1, 3), (2, 4), (3, 4), (4, 5), (5, 6), (6, 7), (7, 8))
 
 
 def _as_vector(v, length: int) -> tuple[int, ...]:
-    if isinstance(v, (str, bytes)) or not isinstance(v, Sequence):
+    # an exact tuple or list skips the slower abstract Sequence test
+    if type(v) not in (tuple, list) and (isinstance(v, (str, bytes)) or not isinstance(v, Sequence)):
         raise ValueError(f"expected an integer vector of length {length}")
     out = tuple(v)
     if len(out) != length:

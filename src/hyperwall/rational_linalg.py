@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from fractions import Fraction
-from math import isqrt, lcm
+from math import gcd, isqrt, lcm
 from operator import mul
 
 
@@ -35,10 +35,18 @@ def _cleared(row) -> tuple[int, list[int]]:
     return den, [x.numerator * (den // x.denominator) for x in row]
 
 
+def _reduced(den: int, row: list[int]) -> tuple[int, list[int]]:
+    """The rationals row/den as _cleared gives them: divided by their gcd,
+    den is the smallest positive denominator.  den must be positive."""
+    g = gcd(den, *row)
+    return den // g, [x // g for x in row]
+
+
 def _eliminate(mat) -> tuple[int, list[list[int]], list[int]]:
     """One symmetric fraction-free (Bareiss) elimination pass.
 
-    Returns (scale, a, minors): scale clears every denominator of mat, and
+    Returns (scale, a, minors): scale clears every denominator of mat (it
+    is 1 for plain-int entries, which skip the scan), and
     minors = [1, D_1, ..., D_s] are the leading minors of a matrix
     congruent to scale * mat by a unimodular change of basis.  The pass
     stops when the trailing block is zero, so s is the rank.  Row k of a
@@ -47,8 +55,11 @@ def _eliminate(mat) -> tuple[int, list[list[int]], list[int]]:
     """
     check_symmetric(mat)
     n = len(mat)
-    scale = lcm(*(x.denominator for row in mat for x in row))
-    a = [[x.numerator * (scale // x.denominator) for x in row] for row in mat]
+    if all(type(x) is int for row in mat for x in row):
+        scale, a = 1, [list(row) for row in mat]
+    else:
+        scale = lcm(*(x.denominator for row in mat for x in row))
+        a = [[x.numerator * (scale // x.denominator) for x in row] for row in mat]
     minors = [1]
     for k in range(n):
         if not a[k][k]:

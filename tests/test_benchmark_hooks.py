@@ -56,6 +56,7 @@ def test_every_hooked_name_is_called(monkeypatch):
     for name in CONTEXT_HOOKS:
         count(enumeration, name)
     count(cones, "enumerate_walls")
+    count(cones, "validate_polarization")
     pic = PicardLattice(
         [vector_from_labels({"e1": 1, "f1": 2}), basis_vector("delta"), basis_vector("E8a_1")]
     )
@@ -70,5 +71,9 @@ def test_every_hooked_name_is_called(monkeypatch):
         run()
         for name in CONTEXT_HOOKS:
             assert calls[enumeration.__name__, name] > before[enumeration.__name__, name], (verdict, name)
+        # the cones.validate layer: both verdicts check g through the hooked name
+        if verdict != "enumerate_walls":
+            key = (cones.__name__, "validate_polarization")
+            assert calls[key] > before[key], verdict
     # is_ample reaches the wall list through the name hooked in cones
     assert calls[cones.__name__, "enumerate_walls"] > 0

@@ -23,7 +23,7 @@ from hyperwall import (
     vector_from_labels,
 )
 from hyperwall import lattice as lattice_module
-from lattice_fixtures import DELTA, FIXTURE_G, H, LAMBDA_PLANE, rank2_picard
+from lattice_fixtures import DELTA, FIXTURE_G, H, LAMBDA_PLANE, ladder_picard, rank2_picard
 
 
 BAD_TARGETS = [((-2, 3),), (), ((2, 1),), ((-2.5, 2),), ((-2, True),), ((-2, 1.0),)]
@@ -277,6 +277,17 @@ class TestNefThreshold:
         assert nef_threshold(pic, FIXTURE_G, (2, 1), iter(DEFAULT_TARGETS)) == nef_threshold(
             pic, FIXTURE_G, (2, 1)
         )
+
+    def test_polarization_check_reads_one_shot_targets(self):
+        # h is orthogonal to the wall delta; the walk must still see the targets
+        with pytest.raises(PreconditionError, match="orthogonal"):
+            validate_polarization(rank2_picard(), (1, 0), iter(DEFAULT_TARGETS))
+
+    def test_is_ample_reads_one_shot_targets(self):
+        pic, g, m = ladder_picard(3), (15, 1, 4), (3, 4, 0)
+        verdict = is_ample(pic, g, m, iter(DEFAULT_TARGETS))
+        assert verdict.status is AmpleStatus.NOT_NEF
+        assert verdict == is_ample(pic, g, m)
 
     def test_requires_positive_square(self):
         with pytest.raises(PreconditionError):

@@ -376,6 +376,30 @@ class TestIntegerKernel:
                     assert row == [-den * c for c in coef[i]] + [den * centre]
                     assert gcd(den, *row) == 1
 
+    @pytest.mark.parametrize("rank", [1, 2, 3, 4, 5])
+    def test_context_integers_without_a_slice(self, rank):
+        """The same check where m gives no slice: m proportional to g, and
+        rank 1, whose kernel is empty (nk = 0)."""
+        rng = random.Random(rank)
+        pic = PicardLattice([H]) if rank == 1 else random_hyperbolic_picard(rng, rank)
+        g = (1,) if rank == 1 else random_polarized_pair(rng, pic)[0]
+        for m in (None, g, tuple(3 * c for c in g)):
+            ctx = _SliceContext(pic, g, m)
+            kernel, u, nk = ctx.kernel, ctx.u, len(ctx.kernel)
+            assert ctx.m_step == 0 and nk == rank - 1
+            neg_gram = [[-pic.pair(a, b) for b in kernel] for a in kernel]
+            base = [pic.pair(u, b) for b in kernel]
+            dvec, coef = ldl_positive(neg_gram)
+            p_base = solve_exact(neg_gram, base)
+            q_base = pic.square(u) + sum(p * b for p, b in zip(p_base, base))
+            assert ctx.q_num == q_base * ctx.q_den and gcd(ctx.q_den, ctx.q_num, *ctx.weights) == 1
+            for i in range(nk):
+                den, row = ctx.denoms[i], ctx.centre_rows[i]
+                assert ctx.weights[i] * den**2 == dvec[i] * ctx.q_den
+                centre = p_base[i] + sum(coef[i][j] * p_base[j] for j in range(i + 1, nk))
+                assert row == [-den * c for c in coef[i]] + [den * centre]
+                assert gcd(den, *row) == 1
+
     @pytest.mark.parametrize(
         "g,m,level_cap,most",
         [

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+from collections import namedtuple
 from fractions import Fraction
 
 import pytest
@@ -19,6 +20,7 @@ from hyperwall import (
     signature_of,
     vector_from_labels,
 )
+from hyperwall.lattice import _as_vector
 from lattice_fixtures import DELTA, H, LAMBDA_PLANE, cofactor_det, rank2_picard
 
 E1 = basis_vector("e1")
@@ -249,6 +251,55 @@ class TestSignatureOf:
     def test_rejects_asymmetric(self):
         with pytest.raises(ValueError):
             signature_of([[0, 1], [2, 0]])
+
+
+Point3 = namedtuple("Point3", "x y z")
+NOT_A_VECTOR = "expected an integer vector of length 3"
+NOT_INTEGERS = "vector entries must be plain integers"
+
+
+class TestAsVector:
+    """What every public vector argument accepts, and each error message."""
+
+    @pytest.mark.parametrize(
+        "v,expected",
+        [
+            ((1, -2, 3), (1, -2, 3)),
+            ([1, -2, 3], (1, -2, 3)),
+            (Point3(1, -2, 3), (1, -2, 3)),
+            (range(3), (0, 1, 2)),
+        ],
+        ids=["tuple", "list", "namedtuple", "range"],
+    )
+    def test_accepted(self, v, expected):
+        out = _as_vector(v, 3)
+        assert out == expected and type(out) is tuple
+
+    @pytest.mark.parametrize(
+        "v,message",
+        [
+            ("123", NOT_A_VECTOR),
+            (b"\x01\x02\x03", NOT_A_VECTOR),
+            ((x for x in (1, -2, 3)), NOT_A_VECTOR),
+            ({1, 2, 3}, NOT_A_VECTOR),
+            (None, NOT_A_VECTOR),
+            ((True, 0, 1), NOT_INTEGERS),
+            ([1, False, 1], NOT_INTEGERS),
+            ((1.0, 2, 3), NOT_INTEGERS),
+            ([1, 2, Fraction(3)], NOT_INTEGERS),
+            ((1, 2), NOT_A_VECTOR + ", got length 2"),
+            ([1, 2, 3, 4], NOT_A_VECTOR + ", got length 4"),
+            (range(4), NOT_A_VECTOR + ", got length 4"),
+        ],
+        ids=[
+            "str", "bytes", "generator", "set", "none", "bool-tuple", "bool-list",
+            "float", "fraction", "short-tuple", "long-list", "long-range",
+        ],
+    )
+    def test_rejected(self, v, message):
+        with pytest.raises(ValueError) as info:
+            _as_vector(v, 3)
+        assert str(info.value) == message
 
 
 class TestPicardLattice:

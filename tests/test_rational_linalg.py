@@ -689,6 +689,31 @@ class TestBareissAgainstFractionReferences:
         if in_span:
             assert got == tuple(Fraction(c) for c in x)
 
+    @KERNEL_SETTINGS
+    @given(
+        st.integers(min_value=0, max_value=5),
+        st.sampled_from(["definite", *SYMMETRIC_KINDS]),
+        st.data(),
+    )
+    def test_int_entries_agree_with_their_fraction_copy(self, n, kind, data):
+        """Plain-int input skips the denominator scan; the same entries as
+        Fractions take the general path and must give identical results
+        and identical errors."""
+        if kind == "definite":
+            b = data.draw(matrices(n, n, False))
+            mat = [[sum(r[i] * r[j] for r in b) for j in range(n)] for i in range(n)]
+        else:
+            mat = data.draw(symmetric_matrices(n, False, kind))
+        rhs = data.draw(matrices(1, n, False))[0]
+        as_fractions = [[Fraction(x) for x in row] for row in mat]
+        assert determinant(mat) == determinant(as_fractions)
+        assert inertia(mat) == inertia(as_fractions)
+        assert outcome(ldl_positive, mat) == outcome(ldl_positive, as_fractions)
+        got = outcome(solve_exact, mat, rhs)
+        assert got == outcome(solve_exact, as_fractions, [Fraction(x) for x in rhs])
+        if got[0] == "ok":
+            assert all_fractions(got[1])
+
     def test_ldl_rejects_asymmetric_alike(self):
         mat = [[2, 1], [0, 2]]
         assert outcome(ldl_positive, mat) == outcome(fraction_ldl, mat)
