@@ -35,10 +35,13 @@ divisibility exactly when sum_{j >= i} t_j P_j lies in
 span(P_0, ..., P_{i-1}).  In GF(2) coordinates adapted to these nested
 spans that is one XOR and one shift per node.  A node that fails walks on
 with the budget of the most negative square that allows divisibility 1, or
-is dropped when there is none.
+is dropped when there is none.  A walk with no level above the innermost
+(rank 2) or with no even-only square prunes nothing this way, so it skips
+the GF(2) setup and tests the congruence at the hit.
 
-The same residue, carried to every hit, gives each wall its
-divisibility: at the leaf it is 0 exactly when x has even divisibility.
+The same residue, carried to every hit (or read from x when the walk
+skipped the setup), gives each wall its divisibility: it is 0 exactly
+when x has even divisibility.
 The discriminant group of K3^[2] is Z/2, so a primitive x (gcd(*x) == 1)
 has divisibility 2 when its residue is 0 and 1 otherwise (_wall_div).
 
@@ -60,8 +63,7 @@ from __future__ import annotations
 
 import itertools
 from collections import namedtuple
-from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 from operator import mul
 
 from .lattice import PicardLattice, divisibility
@@ -211,6 +213,16 @@ def _wall_div(x, res, divs) -> int:
     return div if div in divs else 0
 
 
+def _readout(x, masks) -> int:
+    """The parity residue of the Picard vector x: the XOR of the parity
+    masks of its odd coordinates, 0 exactly when x has even divisibility."""
+    p = 0
+    for c, mask in zip(x, masks):
+        if c & 1:
+            p ^= mask
+    return p
+
+
 class _SliceContext:
     """Shared slice data for a fixed (picard, g), optionally sliced along m.
 
@@ -238,22 +250,30 @@ class _SliceContext:
     with n_i = centre_rows[i] . (t_0, ..., t_{nk-1}, scale), so the LDL
     centre of level i is n_i/denoms[i].  Each level has its own
     denominator, the smallest that makes its centre integral; one common
-    factor q_den then clears the weights d_i/denoms[i]^2 and the radius.
-    The rows come from the integer numerators of the LDL data and of the
-    solve of the centre system, each row over one common denominator that
-    _reduced cuts to the smallest; each descent node then costs one isqrt.
+    factor q_den, the smallest, then clears the weights d_i/denoms[i]^2 and
+    the radius.  The rows, the weights and the radius come from the integer
+    numerators and denominators of the LDL data and of the solve of the
+    centre system, each over one common denominator (an lcm) that _reduced
+    cuts to the smallest; each descent node then costs one isqrt.
+
+    level0=True builds only what a walk of scale 0 alone reads, for
+    solutions() with caps of 0: at t[nk] = scale = 0 the u column, q_num and
+    u's GF(2) column drop out, so the centre rows are cleared with p = 0
+    and the centre system is not solved.
 
     The right-hand side is largest for the most negative square, and a
     second square s needs (s - s_low)*q_den less of it.  solutions() walks
     each scale with the largest budget of the squares it asks for there
     (they change only where a scale passes a cap), or of those that allow
     odd divisibility below a node that cannot complete to even divisibility
-    (see _parity).  Level 1 is a plain loop that tests level 0 exactly for
-    each such square, its offset taken off.
+    (see _parity; built only for a walk with an even-only square and a
+    level above the innermost, where it can prune).  Level 1 is a plain
+    loop that tests level 0 exactly for each such square, its offset taken
+    off.
     """
 
-    def __init__(self, picard: PicardLattice, g, m=None):
-        self.picard = picard
+    def __init__(self, picard: PicardLattice, g, m=None, level0=False):
+        self.picard, self.level0 = picard, level0
         w = picard._gram_times(g)
         self.d, self.u, self.kernel = linear_form_basis(w)
         self.m_step = self.u_m = 0
@@ -281,22 +301,32 @@ class _SliceContext:
                 "the form restricted to the complement of g is not negative "
                 "definite; Picard data is malformed"
             ) from exc
-        base = [_dot(self.u, row) for row in gram_kernel]
         # the LDL centre of level i at t = 0, per unit of scale, is
         # p_i + sum_{j>i} coef[i][j] p_j with p = xs/p_den solving
-        # neg_gram p = base; row i of coef is nums/den
-        p_den, xs = _cleared(solve_exact(neg_gram, base)) if nk else (1, [])
-        q_base = Fraction(picard._pair(self.u, self.u) * p_den + _dot(base, xs), p_den)
+        # neg_gram p = base; q_base = q_raw/p_den.  At scale 0 the u column
+        # drops out (t[nk] = 0), so p = 0 and neither is solved for.
+        if level0:
+            p_den, xs, q_raw = 1, [0] * nk, 0
+        else:
+            base = [_dot(self.u, row) for row in gram_kernel]
+            p_den, xs = _cleared(solve_exact(neg_gram, base)) if nk else (1, [])
+            q_raw = picard._pair(self.u, self.u) * p_den + _dot(base, xs)
         self.denoms, self.centre_rows = [], []
         for i in range(nk):
-            den, nums = _cleared(coef[i])
+            den, nums = _cleared(coef[i])  # row i of coef is nums/den
             # coef is strictly upper triangular, so row i reads only t_j, j > i
             centre = den * xs[i] + _dot(nums, xs)
             den, row = _reduced(den * p_den, [-p_den * c for c in nums] + [centre])
             self.denoms.append(den)
             self.centre_rows.append(row)
-        level_weights = [di / (den * den) for di, den in zip(dvec, self.denoms)]
-        self.q_den, (*self.weights, self.q_num) = _cleared([*level_weights, q_base])
+        # the weights d_i/denoms[i]^2 and q_base over one common denominator,
+        # cut by _reduced to the smallest
+        dens = [di.denominator * den * den for di, den in zip(dvec, self.denoms)]
+        common = lcm(p_den, *dens)
+        self.q_den, (*self.weights, self.q_num) = _reduced(
+            common,
+            [di.numerator * (common // e) for di, e in zip(dvec, dens)] + [q_raw * (common // p_den)],
+        )
         # x = columns . (t_0, ..., t_{nk-1}, scale), one column per coordinate
         self.columns = [list(col) for col in zip(*self.kernel, self.u)]
 
@@ -307,16 +337,14 @@ class _SliceContext:
         their span picked greedily from P_0, P_1, ...: then
         V_i = span(P_0, ..., P_{i-1}) holds exactly the vectors below bit
         rho[i].  Returns (Q, rho): Q[j] is P_j in that basis (with a 0 for
-        the spare slot), rho[i] = dim V_i for i <= nk.
+        the spare slot), rho[i] = dim V_i for i <= nk.  A level-0 context
+        walks scale 0 only, so u's column never enters a residue: its Q is 0.
         """
         masks = self.picard._parity_masks
         reduced: list[tuple[int, int, int]] = []  # (vector, its coordinates, pivot bit)
         coords, rho = [], []
-        for col in (*self.kernel, self.u):
-            p = 0
-            for c, mask in zip(col, masks):
-                if c & 1:
-                    p ^= mask
+        for col in self.kernel if self.level0 else (*self.kernel, self.u):
+            p = _readout(col, masks)
             rho.append(len(reduced))
             q = 0
             for vec, vq, pivot in reduced:
@@ -328,6 +356,9 @@ class _SliceContext:
                 reduced.append((p, q ^ bit, p & -p))
                 q = bit
             coords.append(q)
+        if self.level0:
+            rho.append(len(reduced))
+            coords.append(0)
         coords.append(0)
         return coords, rho
 
@@ -341,15 +372,18 @@ class _SliceContext:
         (x, g) = scale*d once, with the budget of the most negative square
         whose cap reaches it, and tests every such square at the innermost
         level.  A hit on a square in even is kept only if x has even
-        divisibility.  That congruence is tested mod 2 at every node:
+        divisibility.  When even is not empty and a level lies above the
+        innermost one, that congruence is tested mod 2 at every node:
         below a node whose fixed coordinates cannot complete to even
         divisibility the walk goes on with the budget of the lowest square
-        not in even, or stops when there is none.  A context built with m
-        (not proportional to g) leaves out every x with (x, m) > 0.
+        not in even, or stops when there is none.  Otherwise it is tested
+        at the hit alone.  A context built with m (not proportional to g)
+        leaves out every x with (x, m) > 0.
 
-        res is the parity residue of x at the leaf: 0 exactly when x has
-        even divisibility, negative below a node that had no even
-        completion.
+        res is the parity residue of x: 0 exactly when x has even
+        divisibility.  The pruned walk carries it to the leaf, negative
+        below a node that had no even completion; any other walk reads it
+        from x (_readout).
 
         nearest = (groups, (g, g), (m, m), (g, m)) walks only toward the
         first wall the segment from g to m crosses.  With k = (x, g) and
@@ -360,6 +394,8 @@ class _SliceContext:
         far out.  Both bounds are inclusive, so every wall crossing at the
         final a/b is returned; hits farther out may be returned too.
         """
+        if self.level0 and any(caps.values()):
+            raise ValueError("a level-0 slice context walks scale 0 only")
         found: list[tuple[int, tuple[int, ...], int]] = []
         d, nk, q_num, q_den = self.d, len(self.kernel), self.q_num, self.q_den
         denoms, weights, rows, columns = self.denoms, self.weights, self.centre_rows, self.columns
@@ -387,7 +423,11 @@ class _SliceContext:
         # node at level i, or -1 once it has no even completion (its budget
         # is then shifted, and so is that of every node below it)
         res = [0] * (nk + 1)
-        coords, rho = self._parity()
+        # the GF(2) data can prune only with an even-only square and a level
+        # above the innermost; elsewhere each hit reads its residue from x
+        pruned = bool(even) and nk > 1
+        coords, rho = self._parity() if pruned else ([0] * (nk + 2), [0] * (nk + 1))
+        masks = self.picard._parity_masks
         q1, rho1 = coords[slot], rho[1] if nk else 0
         start = -(-first // d)
         # the squares a scale asks for change only where it passes a cap
@@ -423,10 +463,8 @@ class _SliceContext:
                     r = -1
                 if nk == 0:
                     x = tuple(scale * c for c in self.u)
-                    # rho[0] = 0: a scale that passed has r == 0, even x
-                    found.extend(
-                        (s, x, r) for s, off, _ in (shifted_leaves if r < 0 else leaves) if budget == off
-                    )
+                    r = _readout(x, masks)
+                    found.extend((s, x, r) for s, off, parity in leaves if budget == off and not (parity and r))
                     continue
                 t[nk], res[nk] = scale, r
                 # (x, m) = scale*(u, m) + m_step*t[top] <= -ceil(k(b - a)/a)
@@ -480,11 +518,17 @@ class _SliceContext:
                                         t[0] = v // den0
                                         if stop0 is not None and t[0] >= stop0:
                                             continue
-                                        residue = (r1 ^ coords[0]) if t[0] & 1 else r1
-                                        # an even-only square needs residue 0
-                                        if parity and residue:
-                                            continue
-                                        x = tuple(sum(map(mul, col, t)) for col in columns)
+                                        if pruned:
+                                            residue = (r1 ^ coords[0]) if t[0] & 1 else r1
+                                            # an even-only square needs residue 0
+                                            if parity and residue:
+                                                continue
+                                            x = tuple(sum(map(mul, col, t)) for col in columns)
+                                        else:
+                                            x = tuple(sum(map(mul, col, t)) for col in columns)
+                                            residue = _readout(x, masks)
+                                            if parity and residue:
+                                                continue
                                         found.append((s, x, residue))
                                         if nearest is None:
                                             continue
@@ -555,8 +599,10 @@ def _collect_walls(
     even = {square for square, divs in groups.items() if 1 not in divs}
     if nearest is not None:
         nearest = (groups, *nearest)
+    # a walk of scale 0 alone needs no centre solve (see _SliceContext)
+    level0 = first == 0 and not any(caps.values())
     walls: list[WallClass] = []
-    for square, x, res in _SliceContext(picard, g, m).solutions(caps, first, even, nearest):
+    for square, x, res in _SliceContext(picard, g, m, level0).solutions(caps, first, even, nearest):
         div = _wall_div(x, res, groups[square])
         if div:
             walls.append(WallClass(x, picard._to_ambient(x), square, div))

@@ -1,0 +1,144 @@
+"""One digest of the answers of every public verdict on seeded random cases.
+
+    PYTHONPATH=src python tests/answer_digest.py --cases 600 --seed 2024
+
+Each case is a random saturated rank-2..5 lattice from lattice_fixtures
+with g and m of positive square; half the g are made orthogonal to a
+class of negative square, so validate_polarization also fails.  The cases
+cycle through four target sets: the three of tests/test_properties.py
+and ((-2, 1), (-2, 2)), which has no divisibility-2-only square.  Each
+case asks:
+
+- enumerate_walls with m, with a level cap (no m), and with both;
+- is_ample on m, on -m, on a random class and on an isotropic class
+  when a small box holds one;
+- nef_threshold on (g, m), (m, g) and a random class;
+- validate_polarization;
+- slice_solutions at three levels for every target square;
+- level_bound for every target square.
+
+Every result, or the type and message of the error it raised, goes into
+one sha256 in a version-stable form (enums by value, Fractions as integer
+pairs).  Two trees give the same digest when they give the same answers
+and the same errors.  Standard library and lattice_fixtures only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import itertools
+import random
+import sys
+from enum import Enum
+from fractions import Fraction
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+
+from lattice_fixtures import (  # noqa: E402
+    orthogonal_polarization,
+    random_hyperbolic_picard,
+    random_polarized_pair,
+)
+
+import hyperwall  # noqa: E402
+
+TARGET_SETS = (
+    ((-2, 1), (-2, 2), (-10, 2)),
+    ((-2, 1), (-6, 2), (-10, 2)),
+    ((-8, 2), (-10, 2)),
+    ((-2, 1), (-2, 2)),
+)
+
+
+def canonical(value):
+    """A repr-stable form: enums by value, Fractions as pairs, tuples
+    (namedtuples included) and lists as tuples."""
+    if isinstance(value, Enum):
+        return value.value
+    if isinstance(value, Fraction):
+        return ("Fraction", value.numerator, value.denominator)
+    if isinstance(value, (tuple, list)):
+        return tuple(canonical(v) for v in value)
+    return value
+
+
+def answer(call):
+    try:
+        return ("ok", canonical(call()))
+    except (ValueError, TypeError) as exc:
+        return ("error", type(exc).__name__, str(exc))
+
+
+def isotropic_class(pic, g, box=2):
+    """The first nonzero x in [-box, box]^rank with (x, x) = 0 and (x, g) > 0."""
+    for x in itertools.product(range(-box, box + 1), repeat=pic.rank):
+        if any(x) and pic.square(x) == 0 and pic.pair(x, g) > 0:
+            return x
+    return None
+
+
+def case_calls(rng: random.Random, index: int):
+    """The (name, call) pairs of case index."""
+    # every (rank, target set, orthogonal g) combination once in 32 cases
+    rank = 2 + index % 4
+    targets = TARGET_SETS[index // 4 % 4]
+    squares = sorted({s for s, _ in targets})
+    pic = random_hyperbolic_picard(rng, rank)
+    g = orthogonal_polarization(rng, pic) if index // 16 % 2 else None
+    g, m = random_polarized_pair(rng, pic, g=g)
+    cap = rng.randint(0, 10)
+    other = tuple(rng.randint(-3, 3) for _ in range(rank))
+    levels = [rng.randint(1, 6) for _ in range(3)]
+    neg_m = tuple(-c for c in m)
+    iso = isotropic_class(pic, g)
+    hw = hyperwall
+    calls = [
+        ("walls m", lambda: hw.enumerate_walls(hw.WallQuery(pic, g, m=m, targets=targets))),
+        ("walls cap", lambda: hw.enumerate_walls(hw.WallQuery(pic, g, targets=targets, level_cap=cap))),
+        ("walls m cap", lambda: hw.enumerate_walls(hw.WallQuery(pic, g, m=m, targets=targets, level_cap=cap))),
+        ("ample m", lambda: hw.is_ample(pic, g, m, targets)),
+        ("ample -m", lambda: hw.is_ample(pic, g, neg_m, targets)),
+        ("ample other", lambda: hw.is_ample(pic, g, other, targets)),
+        ("nef g m", lambda: hw.nef_threshold(pic, g, m, targets)),
+        ("nef m g", lambda: hw.nef_threshold(pic, m, g, targets)),
+        ("nef other", lambda: hw.nef_threshold(pic, g, other, targets)),
+        ("validate", lambda: hw.validate_polarization(pic, g, targets)),
+    ]
+    if iso is not None:
+        calls.append(("ample isotropic", lambda: hw.is_ample(pic, g, iso, targets)))
+    for square in squares:
+        for k in levels:
+            calls.append((f"slice {k} {square}", lambda k=k, s=square: hw.slice_solutions(pic, g, k, s)))
+        calls.append((f"bound {square}", lambda s=square: hw.level_bound(pic, g, m, s)))
+    head = (index, pic.gram, g, m, targets)
+    return head, calls
+
+
+def digest(cases: int, seed: int) -> tuple[int, str]:
+    """(number of answers, sha256 hex digest) over cases seeded cases."""
+    rng = random.Random(seed)
+    sha = hashlib.sha256()
+    count = 0
+    for index in range(cases):
+        head, calls = case_calls(rng, index)
+        sha.update(repr(canonical(head)).encode())
+        for name, call in calls:
+            sha.update(repr((name, answer(call))).encode())
+            count += 1
+    return count, sha.hexdigest()
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--cases", type=int, default=600)
+    parser.add_argument("--seed", type=int, default=2024)
+    args = parser.parse_args(argv)
+    count, hexdigest = digest(args.cases, args.seed)
+    print(f"cases {args.cases} seed {args.seed} answers {count} sha256 {hexdigest}")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

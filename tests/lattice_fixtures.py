@@ -87,13 +87,13 @@ def random_hyperbolic_picard(rng: random.Random, rank: int, max_entry: int = 20)
             return pic
 
 
-def random_polarized_pair(rng: random.Random, pic: PicardLattice, coeff: int = 3):
-    """Random (g, m) with positive squares and (m, g) > 0."""
+def random_polarized_pair(rng: random.Random, pic: PicardLattice, coeff: int = 3, g=None):
+    """Random (g, m) with positive squares and (m, g) > 0; a given g is kept."""
     rank = pic.rank
-    while True:
+    while g is None:
         g = tuple(rng.randint(-coeff, coeff) for _ in range(rank))
-        if pic.square(g) > 0:
-            break
+        if pic.square(g) <= 0:
+            g = None
     while True:
         m = tuple(rng.randint(-coeff, coeff) for _ in range(rank))
         if pic.square(m) <= 0:
@@ -102,6 +102,29 @@ def random_polarized_pair(rng: random.Random, pic: PicardLattice, coeff: int = 3
             m = tuple(-x for x in m)
         if pic.pair(m, g) > 0:
             return g, m
+
+
+def orthogonal_polarization(rng: random.Random, pic: PicardLattice, squares=(-2, -6, -8, -10), box: int = 2):
+    """A primitive g of positive square orthogonal to a class x0 of negative
+    square: x0 is the first draw in [-box, box]^rank whose square is one of
+    squares, else the last basis vector (of negative square in a rank >= 2
+    lattice of these fixtures).  g = (x0, x0) r - (r, x0) x0 for a random r
+    of positive square."""
+    rank = pic.rank
+    x0 = (0,) * (rank - 1) + (1,)
+    for _ in range(200):
+        x = tuple(rng.randint(-box, box) for _ in range(rank))
+        if pic.square(x) in squares:
+            x0 = x
+            break
+    while True:
+        r = tuple(rng.randint(-3, 3) for _ in range(rank))
+        if pic.square(r) > 0:
+            break
+    s, rx = pic.square(x0), pic.pair(r, x0)
+    g = tuple(s * ri - rx * xi for ri, xi in zip(r, x0))
+    content = gcd(*g)
+    return tuple(c // content for c in g)
 
 
 # targets whose squares are div-2 only, div-1 only or both, in one walk

@@ -12,10 +12,13 @@ from hyperwall import (
     bb_pair,
     brute_force_walls,
     divisibility,
+    PreconditionError,
     enumerate_walls,
+    is_ample,
     level_bound,
     nef_threshold,
     slice_solutions,
+    validate_polarization,
     vector_from_labels,
 )
 from hyperwall import enumeration
@@ -27,6 +30,7 @@ from lattice_fixtures import (
     PRUNING_TARGETS,
     H,
     ladder_picard,
+    orthogonal_polarization,
     rank2_picard,
     random_hyperbolic_picard,
     random_polarized_pair,
@@ -476,6 +480,67 @@ class TestIntegerKernel:
         assert calls <= 100
         assert tau == Fraction(1, 2)
         assert achieving == tuple(w for w in walls if w.rho_picard == (0, 1, 0, 2, 0))
+
+
+class TestLevelZeroContext:
+    """The context of a walk of scale 0 alone (validate_polarization) skips
+    the centre solve: its integers clear the same LDL data with p = 0."""
+
+    def test_integers_clear_the_ldl_data_with_no_centre(self):
+        rng = random.Random(17)
+        cases = [(PicardLattice([H]), (1,), None)]
+        for rank in (2, 3, 4, 5) * 3:
+            pic = random_hyperbolic_picard(rng, rank)
+            cases.append((pic, *random_polarized_pair(rng, pic)))
+        for pic, g, m in cases:
+            for ctx_m in (None, m):
+                ctx = _SliceContext(pic, g, ctx_m, level0=True)
+                kernel, nk = ctx.kernel, len(ctx.kernel)
+                # the same basis as the full context, so the same LDL data
+                assert kernel == _SliceContext(pic, g, ctx_m).kernel
+                dvec, coef = ldl_positive([[-pic.pair(a, b) for b in kernel] for a in kernel]) if nk else ([], [])
+                assert ctx.q_num == 0 and gcd(ctx.q_den, *ctx.weights) == 1
+                for i in range(nk):
+                    den, row = ctx.denoms[i], ctx.centre_rows[i]
+                    assert ctx.weights[i] * den**2 == dvec[i] * ctx.q_den
+                    assert row == [-den * c for c in coef[i]] + [0]
+                    assert gcd(den, *row) == 1
+
+    def test_only_scale_zero_is_walked(self):
+        ctx = _SliceContext(rank2_picard(), FIXTURE_G, level0=True)
+        with pytest.raises(ValueError, match="scale 0 only"):
+            ctx.solutions({-2: 2})
+
+    def test_validate_polarization_solves_no_centre_system(self, monkeypatch):
+        calls = {"ldl_positive": 0, "solve_exact": 0}
+
+        def counted(name):
+            fn = getattr(enumeration, name)
+
+            def wrapped(*args):
+                calls[name] += 1
+                return fn(*args)
+
+            return wrapped
+
+        for name in calls:
+            monkeypatch.setattr(enumeration, name, counted(name))
+        rng = random.Random(31)
+        raised = checked = 0
+        for rank in (2, 3, 4, 5) * 4:
+            pic = random_hyperbolic_picard(rng, rank)
+            g = orthogonal_polarization(rng, pic) if checked % 2 else random_polarized_pair(rng, pic)[0]
+            checked += 1
+            try:
+                validate_polarization(pic, g)
+            except PreconditionError:
+                raised += 1
+        assert calls == {"ldl_positive": checked, "solve_exact": 0}
+        assert 0 < raised < checked
+        # is_ample still solves it once, for its walk sliced along m
+        pic, g, m = ladder_picard(3), (15, 1, 4), (3, 4, 0)
+        is_ample(pic, g, m)
+        assert calls == {"ldl_positive": checked + 2, "solve_exact": 1}
 
 
 class TestDivisibilityReadout:

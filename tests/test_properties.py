@@ -1,7 +1,9 @@
 """Property tests: Picard-coordinate divisibility, slice bases and wall-list invariants."""
 
+import ast
 import itertools
 import random
+import re
 from fractions import Fraction
 from math import gcd
 
@@ -22,10 +24,11 @@ from hyperwall import (
     validate_polarization,
     vector_from_labels,
 )
-from hyperwall.enumeration import DEFAULT_TARGETS, _SliceContext
+from hyperwall.enumeration import DEFAULT_TARGETS, _SliceContext, _target_groups
 from lattice_fixtures import (
     PRUNING_TARGETS,
     cofactor_det,
+    orthogonal_polarization,
     random_hyperbolic_picard,
     random_polarized_pair,
     unpruned_walls,
@@ -399,3 +402,87 @@ class TestBoundedNefThreshold:
         assert nef_threshold(pic, g, m, targets) == expected
         if tau == 1:
             assert all(pic.pair(w.rho_picard, m) == 0 for w in expected[1])
+
+
+LEVEL_ZERO_TARGETS = (DEFAULT_TARGETS, MIXED_TARGETS, NON_PRIMITIVE_TARGETS)
+
+
+class TestLevelZeroWalk:
+    """The context that walks scale 0 alone skips the centre solve, yet
+    finds the level-0 hits of the full context, in the same order."""
+
+    @pytest.mark.parametrize("rank", [2, 3, 4, 5])
+    @pytest.mark.parametrize("targets", LEVEL_ZERO_TARGETS)
+    def test_hits_equal_the_full_context_at_level_zero(self, rank, targets):
+        groups = _target_groups(targets)
+        even = {square for square, divs in groups.items() if 1 not in divs}
+        caps = dict.fromkeys(groups, 0)
+        rng = random.Random(f"level0:{rank}:{targets}")
+        found = 0
+        for case in range(12):
+            pic = random_hyperbolic_picard(rng, rank)
+            g, m = random_polarized_pair(rng, pic)
+            if case % 2:
+                g = orthogonal_polarization(rng, pic)
+            for ctx_m in (None, m):
+                full = _SliceContext(pic, g, ctx_m).solutions(caps, 0, even)
+                lean = _SliceContext(pic, g, ctx_m, level0=True).solutions(caps, 0, even)
+                assert lean == full
+                found += len(full)
+        assert found
+
+
+def level_zero_scan(pic, g, targets, box):
+    """(x, square, div) for every primitive x in [-box, box]^rank with
+    (x, g) = 0 and (square, div) a target, divisibility and primitivity
+    taken on the ambient image."""
+    squares = {square for square, _ in targets}
+    wg = pic.gram_times(g)
+    hits = []
+    for x in itertools.product(range(-box, box + 1), repeat=pic.rank):
+        if sum(a * b for a, b in zip(x, wg)) or pic.square(x) not in squares:
+            continue
+        ambient = pic.to_ambient(x)
+        div = K3_2_LATTICE.divisibility(ambient)
+        if gcd(*ambient) == 1 and (pic.square(x), div) in targets:
+            hits.append((x, pic.square(x), div))
+    return hits
+
+
+NAMED_WALL = re.compile(r"orthogonal to the wall (\(.*?\)) \(square (-?\d+), divisibility (\d+)\)")
+
+
+class TestLevelZeroOracle:
+    """validate_polarization against a scan of a Picard box for the walls
+    orthogonal to g; brute_force_walls starts at level 1 and cannot see them."""
+
+    @PROPERTY_SETTINGS
+    @given(st.integers(min_value=2, max_value=4), seeds, st.sampled_from(LEVEL_ZERO_TARGETS), st.booleans())
+    def test_scan_hits_make_validation_fail(self, rank, seed, targets, orthogonal):
+        rng = random.Random(seed)
+        pic = random_hyperbolic_picard(rng, rank)
+        g = orthogonal_polarization(rng, pic) if orthogonal else random_polarized_pair(rng, pic)[0]
+        hits = level_zero_scan(pic, g, targets, box=4)
+        try:
+            validate_polarization(pic, g, targets)
+        except PreconditionError as exc:
+            match = NAMED_WALL.search(str(exc))
+        else:
+            assert hits == []
+            return
+        x, square, div = ast.literal_eval(match[1]), int(match[2]), int(match[3])
+        # the named wall is orthogonal to g, primitive and of a target kind
+        ambient = pic.to_ambient(x)
+        assert pic.pair(x, g) == 0 and gcd(*ambient) == 1
+        assert (pic.square(x), K3_2_LATTICE.divisibility(ambient)) == (square, div)
+        assert (square, div) in targets
+        # first in target order, then by Picard coordinates, among the scan hits
+        order = list(dict.fromkeys(s for s, _ in targets))
+
+        def key(hit):
+            return order.index(hit[1]), hit[0]
+
+        if hits:
+            assert key((x, square, div)) <= min(map(key, hits))
+        if max(map(abs, x)) <= 4:
+            assert (x, square, div) == min(hits, key=key)
