@@ -37,7 +37,7 @@ spans that is one XOR and one shift per node.  A node that fails walks on
 with the budget of the most negative square that allows divisibility 1, or
 is dropped when there is none.  A walk with no level above the innermost
 (rank 2) or with no even-only square prunes nothing this way, so it skips
-the GF(2) setup and tests the congruence at the hit.
+the GF(2) setup and reads each hit's residue from x.
 
 The same residue, carried to every hit (or read from x when the walk
 skipped the setup), gives each wall its divisibility: it is 0 exactly
@@ -257,9 +257,9 @@ class _SliceContext:
     cuts to the smallest; each descent node then costs one isqrt.
 
     level0=True builds only what a walk of scale 0 alone reads, for
-    solutions() with caps of 0: at t[nk] = scale = 0 the u column, q_num and
-    u's GF(2) column drop out, so the centre rows are cleared with p = 0
-    and the centre system is not solved.
+    solutions() with caps of 0: at t[nk] = scale = 0 the u column and q_num
+    drop out, so the centre rows are cleared with p = 0 and the centre
+    system is not solved.
 
     The right-hand side is largest for the most negative square, and a
     second square s needs (s - s_low)*q_den less of it.  solutions() walks
@@ -337,13 +337,12 @@ class _SliceContext:
         their span picked greedily from P_0, P_1, ...: then
         V_i = span(P_0, ..., P_{i-1}) holds exactly the vectors below bit
         rho[i].  Returns (Q, rho): Q[j] is P_j in that basis (with a 0 for
-        the spare slot), rho[i] = dim V_i for i <= nk.  A level-0 context
-        walks scale 0 only, so u's column never enters a residue: its Q is 0.
+        the spare slot), rho[i] = dim V_i for i <= nk.
         """
         masks = self.picard._parity_masks
         reduced: list[tuple[int, int, int]] = []  # (vector, its coordinates, pivot bit)
         coords, rho = [], []
-        for col in self.kernel if self.level0 else (*self.kernel, self.u):
+        for col in (*self.kernel, self.u):
             p = _readout(col, masks)
             rho.append(len(reduced))
             q = 0
@@ -356,9 +355,6 @@ class _SliceContext:
                 reduced.append((p, q ^ bit, p & -p))
                 q = bit
             coords.append(q)
-        if self.level0:
-            rho.append(len(reduced))
-            coords.append(0)
         coords.append(0)
         return coords, rho
 
@@ -518,17 +514,15 @@ class _SliceContext:
                                         t[0] = v // den0
                                         if stop0 is not None and t[0] >= stop0:
                                             continue
+                                        # the carried residue, or that of x = columns . t
                                         if pruned:
                                             residue = (r1 ^ coords[0]) if t[0] & 1 else r1
-                                            # an even-only square needs residue 0
-                                            if parity and residue:
-                                                continue
-                                            x = tuple(sum(map(mul, col, t)) for col in columns)
                                         else:
-                                            x = tuple(sum(map(mul, col, t)) for col in columns)
-                                            residue = _readout(x, masks)
-                                            if parity and residue:
-                                                continue
+                                            residue = _readout(map(_dot, columns, itertools.repeat(t)), masks)
+                                        # an even-only square needs residue 0
+                                        if parity and residue:
+                                            continue
+                                        x = tuple(sum(map(mul, col, t)) for col in columns)
                                         found.append((s, x, residue))
                                         if nearest is None:
                                             continue
