@@ -122,6 +122,39 @@ def _read_targets(targets):
     return tuple(targets) if targets else targets
 
 
+def _checked_polarization(picard: PicardLattice, g, targets) -> tuple[tuple[int, ...], dict]:
+    """The checks validate_polarization makes before its walk, in its
+    order: the targets, the signature, then (g, g) > 0.  Returns g as a
+    tuple and the target groups."""
+    _validate_targets(targets)
+    if not picard.is_hyperbolic():
+        raise ValueError("Picard lattice must have signature (1, rank-1)")
+    coords = tuple(g)
+    if picard.square(coords) <= 0:
+        raise PreconditionError("g is not ample: (g, g) <= 0")
+    return coords, _target_groups(targets)
+
+
+def _raise_orthogonal(walls, groups) -> None:
+    """Reject g if walls, the level-zero walls a walk found, is not empty.
+
+    The error names the first of these walls and their negatives in target
+    order, as the targets were given, then by Picard coordinates: a walk
+    clipped to (rho, m) <= 0 finds one of each +-rho pair, and adding the
+    negatives changes nothing for a walk that finds both.
+    """
+    if walls:
+        order = list(groups)
+        rho, wall = min(
+            ((x, w) for w in walls for x in (w.rho_picard, tuple(-c for c in w.rho_picard))),
+            key=lambda pair: (order.index(pair[1].square), pair[0]),
+        )
+        raise PreconditionError(
+            f"g is not ample: it is orthogonal to the wall {rho} "
+            f"(square {wall.square}, divisibility {wall.div})"
+        )
+
+
 def validate_polarization(picard: PicardLattice, g, targets=DEFAULT_TARGETS) -> None:
     """Reject a polarization that fails its own ampleness test.
 
@@ -131,22 +164,8 @@ def validate_polarization(picard: PicardLattice, g, targets=DEFAULT_TARGETS) -> 
     checked first, so bad targets raise ValueError before any verdict.
     """
     targets = _read_targets(targets)
-    _validate_targets(targets)
-    if not picard.is_hyperbolic():
-        raise ValueError("Picard lattice must have signature (1, rank-1)")
-    coords = tuple(g)
-    if picard.square(coords) <= 0:
-        raise PreconditionError("g is not ample: (g, g) <= 0")
-    groups = _target_groups(targets)
-    walls = _collect_walls(picard, coords, None, groups, dict.fromkeys(groups, 0), first=0)
-    if walls:
-        # report the first wall in target order, as the targets were given
-        order = list(groups)
-        wall = min(walls, key=lambda w: (order.index(w.square), w.rho_picard))
-        raise PreconditionError(
-            f"g is not ample: it is orthogonal to the wall {wall.rho_picard} "
-            f"(square {wall.square}, divisibility {wall.div})"
-        )
+    coords, groups = _checked_polarization(picard, g, targets)
+    _raise_orthogonal(_collect_walls(picard, coords, None, groups, dict.fromkeys(groups, 0), first=0), groups)
 
 
 def _isotropic_level_cap(square: int, p: int, v: int) -> int:
@@ -209,21 +228,30 @@ def nef_threshold(
     wall it finds bounds the walk to walls crossing no later, so only
     the part of the wall set toward the first crossing is searched.  The
     bound is inclusive, so every wall at tau is found.
+
+    g gets the checks and errors of validate_polarization, but from this
+    walk: it starts at level 0, where the clip (rho, m) <= 0 keeps one of
+    each +-rho pair of walls orthogonal to g.  An m of non-positive square
+    or pairing with g is rejected after every check of g.
     """
     gcoords = tuple(g)
     targets = _read_targets(targets)
-    validate_polarization(picard, gcoords, targets)
+    _, groups = _checked_polarization(picard, gcoords, targets)
     coords = tuple(m)
-    mm = picard.square(coords)
-    if mm <= 0:
-        raise PreconditionError("nef_threshold requires (m, m) > 0")
-    gm = picard._pair(coords, gcoords)
-    if gm <= 0:
+    try:
+        mm, gm = picard.square(coords), picard._pair(coords, gcoords)
+    except ValueError:
+        mm = gm = 0  # a malformed m: square(m) below raises its error
+    if mm <= 0 or gm <= 0:
+        # an m error comes after every error of g, the walk's included
+        validate_polarization(picard, gcoords, targets)
+        if picard.square(coords) <= 0:
+            raise PreconditionError("nef_threshold requires (m, m) > 0")
         raise PreconditionError("nef_threshold requires (m, g) > 0")
     gg = picard._pair(gcoords, gcoords)
-    groups = _target_groups(targets)
     caps = {square: _level_cap(square, gg, mm, gm) for square in groups}
-    walls = _collect_walls(picard, gcoords, coords, groups, caps, nearest=(gg, mm, gm))
+    walls = _collect_walls(picard, gcoords, coords, groups, caps, first=0, nearest=(gg, mm, gm))
+    _raise_orthogonal([w for w in walls if not picard._pair(w.rho_picard, gcoords)], groups)
     if not walls:
         return Fraction(1), ()
     crossings = []

@@ -388,7 +388,9 @@ class _SliceContext:
         becomes j <= -ceil(k(b - a)/a), and the walk stops at the first
         level k where Cauchy-Schwarz leaves no x of the walked squares that
         far out.  Both bounds are inclusive, so every wall crossing at the
-        final a/b is returned; hits farther out may be returned too.
+        final a/b is returned; hits farther out may be returned too.  A hit
+        at scale 0 (first=0) never tightens a/b: it crosses at t = 0 and
+        lies on no segment from a g it is orthogonal to.
         """
         if self.level0 and any(caps.values()):
             raise ValueError("a level-0 slice context walks scale 0 only")
@@ -524,7 +526,8 @@ class _SliceContext:
                                             continue
                                         x = tuple(sum(map(mul, col, t)) for col in columns)
                                         found.append((s, x, residue))
-                                        if nearest is None:
+                                        # a scale-0 hit crosses at 0: it would set a = 0
+                                        if nearest is None or not scale:
                                             continue
                                         # a wall crossing before a/b tightens the bound
                                         k, j = scale * d, scale * u_m + m_step * t[top]
@@ -584,12 +587,16 @@ def _collect_walls(
     each target square to its largest level (rho, g), groups maps it to
     the admissible divisibilities.  With m the context's clip keeps only
     (rho, m) <= 0; m needs no positive square here, only (m, g) > 0, so an
-    isotropic m slices the descent as well.  first=0 with caps of 0 gives
-    the walls orthogonal to g.  nearest = ((g, g), (m, m), (g, m)) walks
-    only toward the first crossing (see _SliceContext.solutions): the
-    result then holds every wall crossed first, and maybe some others.
-    Each hit's divisibility is read from its parity residue (_wall_div).
+    isotropic m slices the descent as well.  first=0 adds the walls
+    orthogonal to g: with m one of each +-rho pair, both when (rho, m) = 0.
+    nearest = ((g, g), (m, m), (g, m)) walks only toward the first crossing
+    (see _SliceContext.solutions): the result then holds every wall
+    crossed first, and maybe some others; with first=0 also every level-0
+    wall the clip keeps.  Each hit's divisibility is read from its parity
+    residue (_wall_div).  A walk that reaches no level builds no context.
     """
+    if max(caps.values()) < first:
+        return []
     even = {square for square, divs in groups.items() if 1 not in divs}
     if nearest is not None:
         nearest = (groups, *nearest)

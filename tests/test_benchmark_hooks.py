@@ -10,6 +10,8 @@ import importlib.util
 from collections import Counter
 from pathlib import Path
 
+import pytest
+
 from hyperwall import PicardLattice, WallQuery, basis_vector, cones, enumeration, vector_from_labels
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
@@ -71,9 +73,16 @@ def test_every_hooked_name_is_called(monkeypatch):
         run()
         for name in CONTEXT_HOOKS:
             assert calls[enumeration.__name__, name] > before[enumeration.__name__, name], (verdict, name)
-        # the cones.validate layer: both verdicts check g through the hooked name
-        if verdict != "enumerate_walls":
+        # the cones.validate layer: is_ample checks g through the hooked
+        # name; nef_threshold checks g by its own walk from level 0
+        if verdict == "is_ample":
             key = (cones.__name__, "validate_polarization")
             assert calls[key] > before[key], verdict
     # is_ample reaches the wall list through the name hooked in cones
     assert calls[cones.__name__, "enumerate_walls"] > 0
+    # nef_threshold reaches the hooked name when it rejects m
+    key = (cones.__name__, "validate_polarization")
+    before = calls[key]
+    with pytest.raises(cones.PreconditionError, match=r"\(m, g\) > 0"):
+        cones.nef_threshold(pic, g, tuple(-c for c in m))
+    assert calls[key] == before + 1

@@ -26,6 +26,11 @@ from hyperwall import lattice as lattice_module
 from lattice_fixtures import DELTA, FIXTURE_G, H, LAMBDA_PLANE, ladder_picard, rank2_picard
 
 
+# the wall orthogonal to g = h that each target order names
+ORTHOGONAL_NAMED = [
+    (((-10, 2), (-2, 1)), r"\(0, -1, -2\) \(square -10, divisibility 2\)"),
+    (((-2, 1), (-10, 2)), r"\(0, 0, -1\) \(square -2, divisibility 1\)"),
+]
 BAD_TARGETS = [((-2, 3),), (), ((2, 1),), ((-2.5, 2),), ((-2, True),), ((-2, 1.0),)]
 
 
@@ -63,19 +68,21 @@ class TestValidatePolarization:
         with pytest.raises(PreconditionError, match="orthogonal"):
             validate_polarization(rank2_picard(), (3, 2))
 
-    @pytest.mark.parametrize(
-        "targets,named",
-        [
-            (((-10, 2), (-2, 1)), r"\(0, -1, -2\) \(square -10, divisibility 2\)"),
-            (((-2, 1), (-10, 2)), r"\(0, 0, -1\) \(square -2, divisibility 1\)"),
-        ],
-    )
+    @pytest.mark.parametrize("targets,named", ORTHOGONAL_NAMED)
     def test_first_orthogonal_wall_follows_target_order(self, targets, named):
         # g = h is orthogonal to delta + 2 E8a_1 (a (-10, 2) wall) and to
         # E8a_1 (a (-2, 1) wall); the report names the first target's wall
         pic = PicardLattice([H, DELTA, basis_vector("E8a_1")])
         with pytest.raises(PreconditionError, match=named):
             validate_polarization(pic, (1, 0, 0), targets)
+
+    @pytest.mark.parametrize("targets,named", ORTHOGONAL_NAMED)
+    def test_nef_threshold_names_the_same_wall(self, targets, named):
+        # its walk keeps (rho, m) <= 0: m = 2h + delta leaves (0, 1, 2),
+        # not the (0, -1, -2) above
+        pic = PicardLattice([H, DELTA, basis_vector("E8a_1")])
+        with pytest.raises(PreconditionError, match=named):
+            nef_threshold(pic, (1, 0, 0), (2, 1, 0), targets)
 
 
 class TestIsAmple:
@@ -300,6 +307,14 @@ class TestNefThreshold:
     def test_requires_ample_polarization(self):
         with pytest.raises(PreconditionError):
             nef_threshold(rank2_picard(), (1, 0), (2, 1))
+
+    @pytest.mark.parametrize(
+        "m", [(1, 1), (0, 1), (-2, -1), (2, 1, 0)], ids=["isotropic", "negative", "opposite", "malformed"]
+    )
+    def test_polarization_error_comes_before_the_m_error(self, m):
+        # h is orthogonal to the wall delta: that is reported, not m
+        with pytest.raises(PreconditionError, match="g is not ample: it is orthogonal to the wall"):
+            nef_threshold(rank2_picard(), (1, 0), m)
 
     @pytest.mark.parametrize("targets", BAD_TARGETS)
     def test_bad_targets_are_input_errors(self, targets):

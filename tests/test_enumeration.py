@@ -543,6 +543,44 @@ class TestLevelZeroContext:
         assert calls == {"ldl_positive": checked + 2, "solve_exact": 1}
 
 
+class TestContextBuilds:
+    """How many slice contexts a query builds."""
+
+    @staticmethod
+    def count_builds(monkeypatch):
+        builds = []
+        init = _SliceContext.__init__
+
+        def counted(ctx, *args, **kwargs):
+            builds.append(args)
+            init(ctx, *args, **kwargs)
+
+        monkeypatch.setattr(_SliceContext, "__init__", counted)
+        return builds
+
+    def test_nef_threshold_builds_one_context(self, monkeypatch):
+        builds = self.count_builds(monkeypatch)
+        rng = random.Random(37)
+        raised = calls = 0
+        for rank in (2, 3, 4, 5) * 4:
+            pic = random_hyperbolic_picard(rng, rank)
+            g = orthogonal_polarization(rng, pic) if calls % 2 else None
+            g, m = random_polarized_pair(rng, pic, g=g)
+            calls += 1
+            try:
+                nef_threshold(pic, g, m)
+            except PreconditionError:
+                raised += 1
+        assert len(builds) == calls
+        assert 0 < raised < calls
+
+    def test_a_walk_of_no_level_builds_no_context(self, monkeypatch):
+        builds = self.count_builds(monkeypatch)
+        query = WallQuery(ladder_picard(4), (15, 1, 4, 0), m=(3, 4, 0, 0), level_cap=0)
+        assert enumerate_walls(query) == []
+        assert builds == []
+
+
 class TestDivisibilityReadout:
     """Every wall gets its divisibility from the walk's parity residue: the
     one gcd a hit costs is its primitivity test."""

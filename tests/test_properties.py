@@ -432,6 +432,31 @@ class TestLevelZeroWalk:
         assert found
 
 
+class TestLevelZeroThreshold:
+    """nef_threshold checks g by its own walk, clipped to (rho, m) <= 0 from
+    level 0, yet raises exactly what validate_polarization raises."""
+
+    @pytest.mark.parametrize("rank", [2, 3, 4, 5])
+    @pytest.mark.parametrize("targets", LEVEL_ZERO_TARGETS)
+    def test_raises_the_text_of_validate_polarization(self, rank, targets):
+        rng = random.Random(f"threshold0:{rank}:{targets}")
+        raised = 0
+        for _ in range(24):
+            pic = random_hyperbolic_picard(rng, rank)
+            g = orthogonal_polarization(rng, pic, squares={s for s, _ in targets})
+            g, m = random_polarized_pair(rng, pic, g=g)
+            try:
+                validate_polarization(pic, g, targets)
+            except PreconditionError as exc:
+                with pytest.raises(PreconditionError) as info:
+                    nef_threshold(pic, g, m, targets)
+                assert str(info.value) == str(exc)
+                raised += 1
+            else:
+                nef_threshold(pic, g, m, targets)
+        assert raised
+
+
 def level_zero_scan(pic, g, targets, box):
     """(x, square, div) for every primitive x in [-box, box]^rank with
     (x, g) = 0 and (square, div) a target, divisibility and primitivity
