@@ -123,9 +123,8 @@ def _read_targets(targets):
 
 
 def _checked_polarization(picard: PicardLattice, g, targets) -> tuple[tuple[int, ...], dict]:
-    """The checks validate_polarization makes before its walk, in its
-    order: the targets, the signature, then (g, g) > 0.  Returns g as a
-    tuple and the target groups."""
+    """validate_polarization's checks before its walk, in its order;
+    returns g as a tuple and the target groups."""
     _validate_targets(targets)
     if not picard.is_hyperbolic():
         raise ValueError("Picard lattice must have signature (1, rank-1)")
@@ -136,13 +135,9 @@ def _checked_polarization(picard: PicardLattice, g, targets) -> tuple[tuple[int,
 
 
 def _raise_orthogonal(walls, groups) -> None:
-    """Reject g if walls, the level-zero walls a walk found, is not empty.
-
-    The error names the first of these walls and their negatives in target
-    order, as the targets were given, then by Picard coordinates: a walk
-    clipped to (rho, m) <= 0 finds one of each +-rho pair, and adding the
-    negatives changes nothing for a walk that finds both.
-    """
+    """Reject g for the level-0 walls a walk found, naming the first of
+    them and their negatives in target order, then by Picard coordinates
+    (a walk clipped to (rho, m) <= 0 finds one of each +-rho pair)."""
     if walls:
         order = list(groups)
         rho, wall = min(
@@ -229,10 +224,9 @@ def nef_threshold(
     the part of the wall set toward the first crossing is searched.  The
     bound is inclusive, so every wall at tau is found.
 
-    g gets the checks and errors of validate_polarization, but from this
-    walk: it starts at level 0, where the clip (rho, m) <= 0 keeps one of
-    each +-rho pair of walls orthogonal to g.  An m of non-positive square
-    or pairing with g is rejected after every check of g.
+    g gets the checks and errors of validate_polarization from this walk,
+    which starts at level 0; an m of non-positive square or pairing with
+    g is rejected after every check of g.
     """
     gcoords = tuple(g)
     targets = _read_targets(targets)

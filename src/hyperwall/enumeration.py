@@ -389,8 +389,7 @@ class _SliceContext:
         level k where Cauchy-Schwarz leaves no x of the walked squares that
         far out.  Both bounds are inclusive, so every wall crossing at the
         final a/b is returned; hits farther out may be returned too.  A hit
-        at scale 0 (first=0) never tightens a/b: it crosses at t = 0 and
-        lies on no segment from a g it is orthogonal to.
+        at scale 0 crosses at t = 0 and never tightens a/b.
         """
         if self.level0 and any(caps.values()):
             raise ValueError("a level-0 slice context walks scale 0 only")
@@ -526,7 +525,7 @@ class _SliceContext:
                                             continue
                                         x = tuple(sum(map(mul, col, t)) for col in columns)
                                         found.append((s, x, residue))
-                                        # a scale-0 hit crosses at 0: it would set a = 0
+                                        # a scale-0 hit crosses at 0 and would set a = 0
                                         if nearest is None or not scale:
                                             continue
                                         # a wall crossing before a/b tightens the bound
@@ -588,12 +587,12 @@ def _collect_walls(
     the admissible divisibilities.  With m the context's clip keeps only
     (rho, m) <= 0; m needs no positive square here, only (m, g) > 0, so an
     isotropic m slices the descent as well.  first=0 adds the walls
-    orthogonal to g: with m one of each +-rho pair, both when (rho, m) = 0.
-    nearest = ((g, g), (m, m), (g, m)) walks only toward the first crossing
+    orthogonal to g (with m, one of each +-rho pair), also with nearest =
+    ((g, g), (m, m), (g, m)), which walks only toward the first crossing
     (see _SliceContext.solutions): the result then holds every wall
-    crossed first, and maybe some others; with first=0 also every level-0
-    wall the clip keeps.  Each hit's divisibility is read from its parity
-    residue (_wall_div).  A walk that reaches no level builds no context.
+    crossed first, and maybe some others.  Each hit's divisibility is
+    read from its parity residue (_wall_div).  A walk that reaches no
+    level builds no context.
     """
     if max(caps.values()) < first:
         return []
