@@ -70,6 +70,7 @@ from .lattice import PicardLattice, divisibility
 from .rational_linalg import (
     _cleared,
     _reduced,
+    column_reduce,
     integer_interval,
     integral_lll,
     ldl_positive,
@@ -194,11 +195,6 @@ def _dot(a, b) -> int:
     return sum(map(mul, a, b))
 
 
-def _combine(coeffs, rows) -> list[int]:
-    """The integer combination sum_j coeffs[j] * rows[j]."""
-    return [sum(c * row[a] for c, row in zip(coeffs, rows)) for a in range(len(rows[0]))]
-
-
 def _wall_div(x, res, divs) -> int:
     """The divisibility of the hit x of solutions(), with parity residue
     res, if x is a wall (primitive, its divisibility in divs), else 0: the
@@ -232,7 +228,8 @@ class _SliceContext:
     (integral_lll), and its LDL data on the reduced rows drives the
     ellipsoid walks.
 
-    With m given (and not proportional to g), the kernel is reordered as
+    With m given (and not proportional to g), one column_reduce of (., m)
+    on the kernel, its rows riding along as columns, rebases it as
     [basis of g-perp meet m-perp ..., c_m] with (c_m, m) = m_step > 0, so the
     outermost descent coordinate alone carries (x, m) beyond the constant
     part (k/d)(u, m), and solutions() clips it to the half-space
@@ -251,10 +248,10 @@ class _SliceContext:
     centre of level i is n_i/denoms[i].  Each level has its own
     denominator, the smallest that makes its centre integral; one common
     factor q_den, the smallest, then clears the weights d_i/denoms[i]^2 and
-    the radius.  The rows, the weights and the radius come from the integer
-    numerators and denominators of the LDL data and of the solve of the
-    centre system, each over one common denominator (an lcm) that _reduced
-    cuts to the smallest; each descent node then costs one isqrt.
+    the radius.  They come from the Bareiss integers of ldl_positive (row i
+    over the minor D_{i+1}, d_i = D_{i+1}/D_i) and the cleared centre solve,
+    each over one common denominator that _reduced cuts to the smallest;
+    each descent node then costs one isqrt.
 
     level0=True builds only what a walk of scale 0 alone reads, for
     solutions() with caps of 0: at t[nk] = scale = 0 the u column and q_num
@@ -282,8 +279,11 @@ class _SliceContext:
             restricted = [_dot(b, wm) for b in self.kernel]
             # m proportional to g leaves (., m) zero on the kernel: no slice
             if any(restricted):
-                self.m_step, c_m, rest = linear_form_basis(restricted)
-                self.kernel = [_combine(c, self.kernel) for c in rest + [c_m]]
+                # the kernel rows ride along as columns: the pivot column is
+                # c_m, the others span the part of the kernel orthogonal to m
+                (self.m_step, *_), *riders = column_reduce([restricted], zip(*self.kernel))
+                c_m, *rest = map(list, zip(*riders))
+                self.kernel = rest + [c_m]
                 self.u_m = _dot(self.u, wm)
         nk = len(self.kernel)
         # c_m stays last and unreduced, so u_m, m_step and the clip hold
@@ -295,37 +295,36 @@ class _SliceContext:
                 )
             gram_kernel = [picard._gram_times(b) for b in self.kernel]
             neg_gram = [[-_dot(self.kernel[i], row) for i in range(nk)] for row in gram_kernel]
-            dvec, coef = ldl_positive(neg_gram) if nk else ([], [])
+            scale, minors, ldl_rows = ldl_positive(neg_gram)
         except ValueError as exc:
             raise ValueError(
                 "the form restricted to the complement of g is not negative "
                 "definite; Picard data is malformed"
             ) from exc
         # the LDL centre of level i at t = 0, per unit of scale, is
-        # p_i + sum_{j>i} coef[i][j] p_j with p = xs/p_den solving
-        # neg_gram p = base; q_base = q_raw/p_den.  At scale 0 the u column
-        # drops out (t[nk] = 0), so p = 0 and neither is solved for.
+        # p_i + sum_{j>i} ldl_rows[i][j-i-1]/D_{i+1} * p_j with p = xs/p_den
+        # solving neg_gram p = base; q_base = q_raw/p_den.  At scale 0 the u
+        # column drops out (t[nk] = 0), so p = 0 and neither is solved for.
         if level0:
             p_den, xs, q_raw = 1, [0] * nk, 0
         else:
             base = [_dot(self.u, row) for row in gram_kernel]
-            p_den, xs = _cleared(solve_exact(neg_gram, base)) if nk else (1, [])
+            p_den, xs = _cleared(solve_exact(neg_gram, base))
             q_raw = picard._pair(self.u, self.u) * p_den + _dot(base, xs)
         self.denoms, self.centre_rows = [], []
-        for i in range(nk):
-            den, nums = _cleared(coef[i])  # row i of coef is nums/den
-            # coef is strictly upper triangular, so row i reads only t_j, j > i
-            centre = den * xs[i] + _dot(nums, xs)
-            den, row = _reduced(den * p_den, [-p_den * c for c in nums] + [centre])
+        for i, (p, nums) in enumerate(zip(minors[1:], ldl_rows)):
+            # row i of the LDL coefficients is nums/p, in the columns j > i
+            centre = p * xs[i] + _dot(nums, xs[i + 1:])
+            den, row = _reduced(p * p_den, [0] * (i + 1) + [-p_den * c for c in nums] + [centre])
             self.denoms.append(den)
             self.centre_rows.append(row)
-        # the weights d_i/denoms[i]^2 and q_base over one common denominator,
-        # cut by _reduced to the smallest
-        dens = [di.denominator * den * den for di, den in zip(dvec, self.denoms)]
+        # the weights d_i/denoms[i]^2, d_i = D_{i+1}/(D_i * scale), and q_base
+        # over one common denominator, cut by _reduced to the smallest
+        dens = [prev * scale * den * den for prev, den in zip(minors, self.denoms)]
         common = lcm(p_den, *dens)
         self.q_den, (*self.weights, self.q_num) = _reduced(
             common,
-            [di.numerator * (common // e) for di, e in zip(dvec, dens)] + [q_raw * (common // p_den)],
+            [p * (common // e) for p, e in zip(minors[1:], dens)] + [q_raw * (common // p_den)],
         )
         # x = columns . (t_0, ..., t_{nk-1}, scale), one column per coordinate
         self.columns = [list(col) for col in zip(*self.kernel, self.u)]
@@ -592,9 +591,10 @@ def _collect_walls(
     (see _SliceContext.solutions): the result then holds every wall
     crossed first, and maybe some others.  Each hit's divisibility is
     read from its parity residue (_wall_div).  A walk that reaches no
-    level builds no context.
+    scale (no multiple of gcd((g, .)) in [first, max caps]) builds none.
     """
-    if max(caps.values()) < first:
+    d = gcd(*picard._gram_times(g))
+    if max(caps.values()) // d < -(-first // d):
         return []
     even = {square for square, divs in groups.items() if 1 not in divs}
     if nearest is not None:

@@ -5,10 +5,10 @@ floating point is used anywhere.  Wall membership and cone tests reduce to
 exact sign and equality questions, so even a single rounded intermediate
 value could silently drop or invent a wall.  The eliminations clear
 denominators once and then work in ints only (Bareiss, Math. Comp. 22,
-1968: every division is exact), building a Fraction only for the output.
-One symmetric pass gives inertia, determinant, ldl_positive and
-solve_exact; Euclid's column reduction gives linear_form_basis and
-saturation_index; integral_lll reduces lattice bases.
+1968: every division is exact).  One symmetric pass gives inertia,
+determinant, solve_exact (a Fraction per output entry) and ldl_positive
+(the pass's integers); Euclid's column reduction gives linear_form_basis
+and saturation_index; integral_lll reduces lattice bases.
 """
 
 from __future__ import annotations
@@ -154,23 +154,21 @@ def linear_form_basis(w: Sequence[int]) -> tuple[int, list[int], list[list[int]]
     return reduced[0][0], u, kernel
 
 
-def ldl_positive(mat) -> tuple[list[Fraction], list[list[Fraction]]]:
-    """LDL data of a positive definite symmetric rational matrix.
+def ldl_positive(mat) -> tuple[int, list[int], list[list[int]]]:
+    """Fraction-free LDL data of a positive definite symmetric rational N.
 
-    Returns (d, coef) such that x^T N x = sum_i d[i] * (x_i + sum_{j>i}
-    coef[i][j] * x_j)^2 with every d[i] > 0.  Raises ValueError when the
-    matrix is not positive definite.  The elimination pivots of L*N (L
-    clears N) are its leading minors D_i, so d[i] = D_{i+1} / (D_i * L).
+    Returns the integers (scale, minors, rows): scale clears N, minors =
+    [1, D_1, ..., D_n] are the leading minors of scale*N, and rows[i] is the
+    Bareiss row of step i in the columns j > i.  So with d_i = D_{i+1}/D_i,
+    scale * x^T N x = sum_i d_i (x_i + sum_{j>i} rows[i][j-i-1] x_j / D_{i+1})^2.
+    Raises ValueError when N is not positive definite.
     """
     scale, a, minors = _eliminate(mat)
     n = len(a)
     # all n minors positive: N is positive definite, so no pivot was moved
     if len(minors) <= n or min(minors) <= 0:
         raise ValueError("matrix is not positive definite")
-    zero = Fraction(0)
-    d = [Fraction(p, prev * scale) for prev, p in zip(minors, minors[1:])]
-    coef = [[zero] * (i + 1) + [Fraction(x, p) for x in a[i][i + 1:]] for i, p in enumerate(minors[1:])]
-    return d, coef
+    return scale, minors, [row[i + 1:] for i, row in enumerate(a)]
 
 
 def integral_lll(gram, rows) -> list[list[int]]:

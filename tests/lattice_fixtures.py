@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 from math import gcd
 
 from hyperwall import PicardLattice, basis_vector, divisibility, level_bound, vector_from_labels
 from hyperwall.enumeration import _SliceContext
+from hyperwall.rational_linalg import check_symmetric
 
 # The worked rank-2 lattice: h = e1 + f1 (square 2) and delta (square -2),
 # with Gram diag(2, -2).
@@ -45,6 +47,32 @@ def cofactor_det(mat):
         ]
         total += (-1) ** j * mat[0][j] * cofactor_det(minor)
     return total
+
+
+# The package's former ldl_positive, Fraction Gaussian elimination: the
+# reference for its fraction-free LDL data and for the slice context's integers.
+def fraction_ldl(mat):
+    """LDL in Fractions: (d, coef) with x^T N x = sum d_i (x_i + sum coef_ij x_j)^2."""
+    check_symmetric(mat)
+    a = [[Fraction(x) for x in row] for row in mat]
+    n = len(a)
+    d = []
+    coef = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        di = a[i][i]
+        if di <= 0:
+            raise ValueError("matrix is not positive definite")
+        d.append(di)
+        for j in range(i + 1, n):
+            coef[i][j] = a[i][j] / di
+        for j in range(i + 1, n):
+            aij = a[i][j]
+            if aij:
+                for k in range(j, n):
+                    a[j][k] -= aij * a[i][k] / di
+                    if k != j:
+                        a[k][j] = a[j][k]
+    return d, coef
 
 
 # Ambient vectors of negative square used to assemble random hyperbolic

@@ -13,3 +13,8 @@ def test_command_line_prints_the_digest(capsys):
     assert main(["--cases", "3", "--seed", "2024"]) == 0
     count, hexdigest = digest(3, 2024)
     assert capsys.readouterr().out == f"cases 3 seed 2024 answers {count} sha256 {hexdigest}\n"
+
+
+def test_digest_is_pinned():
+    """Every answer and error message of 40 seeded cases: any drift fails here."""
+    assert digest(40, 2024) == (763, "5204e891632ad310e6f4b834d03c2f8ec6342f6366df2bf40a82023047f0a841")

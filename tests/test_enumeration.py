@@ -23,12 +23,13 @@ from hyperwall import (
 )
 from hyperwall import enumeration
 from hyperwall.enumeration import DEFAULT_TARGETS, _SliceContext
-from hyperwall.rational_linalg import ldl_positive, solve_exact
+from hyperwall.rational_linalg import linear_form_basis, solve_exact
 from lattice_fixtures import (
     DELTA,
     FIXTURE_G,
     PRUNING_TARGETS,
     H,
+    fraction_ldl,
     ladder_picard,
     orthogonal_polarization,
     rank2_picard,
@@ -359,8 +360,9 @@ class TestIntegerKernel:
             self.check_slices(pic, g, m)
 
     def test_context_integers_are_the_cleared_ldl_data(self):
-        """Recompute the LDL data of each context test-side: the integers of
-        the descent clear it exactly, each level with its smallest denominator."""
+        """Recompute the LDL data of each context test-side (fraction_ldl):
+        the integers of the descent clear it exactly, each level with its
+        smallest denominator."""
         rng = random.Random(5)
         for rank in (2, 3, 4, 5) * 3:
             pic = random_hyperbolic_picard(rng, rank)
@@ -369,7 +371,7 @@ class TestIntegerKernel:
                 kernel, u, nk = ctx.kernel, ctx.u, len(ctx.kernel)
                 neg_gram = [[-pic.pair(a, b) for b in kernel] for a in kernel]
                 base = [pic.pair(u, b) for b in kernel]
-                dvec, coef = ldl_positive(neg_gram)
+                dvec, coef = fraction_ldl(neg_gram)
                 p_base = solve_exact(neg_gram, base)
                 q_base = pic.square(u) + sum(p * b for p, b in zip(p_base, base))
                 assert ctx.q_num == q_base * ctx.q_den
@@ -379,6 +381,33 @@ class TestIntegerKernel:
                     centre = p_base[i] + sum(coef[i][j] * p_base[j] for j in range(i + 1, nk))
                     assert row == [-den * c for c in coef[i]] + [den * centre]
                     assert gcd(den, *row) == 1
+
+    def test_rider_slice_equals_the_combined_bases(self, monkeypatch):
+        """The m-slice from one column reduction, the kernel rows riding along
+        as columns, equals the former path kept here as the reference: a
+        second linear_form_basis on the restricted form, its basis combined
+        from the kernel rows.  With LLL switched off the raw sliced basis is
+        compared; rank 2 has nk = 1, and m proportional to g no slice."""
+        monkeypatch.setattr(enumeration, "integral_lll", lambda gram, rows: rows)
+        rng = random.Random(41)
+        sliced = 0
+        for rank in (2, 3, 4, 5) * 5:
+            pic = random_hyperbolic_picard(rng, rank)
+            g, m = random_polarized_pair(rng, pic)
+            for ctx_m in (m, g, tuple(2 * c for c in g)):
+                ctx = _SliceContext(pic, g, ctx_m)
+                _, _, kernel = linear_form_basis(pic.gram_times(g))
+                restricted = [pic.pair(b, ctx_m) for b in kernel]
+                m_step = 0
+                if any(restricted):
+                    m_step, c_m, rest = linear_form_basis(restricted)
+                    kernel = [
+                        [sum(c * row[a] for c, row in zip(coeffs, kernel)) for a in range(rank)]
+                        for coeffs in rest + [c_m]
+                    ]
+                    sliced += 1
+                assert (ctx.m_step, ctx.kernel) == (m_step, kernel)
+        assert sliced == 19  # one random m is proportional to g
 
     @pytest.mark.parametrize("rank", [1, 2, 3, 4, 5])
     def test_context_integers_without_a_slice(self, rank):
@@ -393,7 +422,7 @@ class TestIntegerKernel:
             assert ctx.m_step == 0 and nk == rank - 1
             neg_gram = [[-pic.pair(a, b) for b in kernel] for a in kernel]
             base = [pic.pair(u, b) for b in kernel]
-            dvec, coef = ldl_positive(neg_gram)
+            dvec, coef = fraction_ldl(neg_gram)
             p_base = solve_exact(neg_gram, base)
             q_base = pic.square(u) + sum(p * b for p, b in zip(p_base, base))
             assert ctx.q_num == q_base * ctx.q_den and gcd(ctx.q_den, ctx.q_num, *ctx.weights) == 1
@@ -498,7 +527,7 @@ class TestLevelZeroContext:
                 kernel, nk = ctx.kernel, len(ctx.kernel)
                 # the same basis as the full context, so the same LDL data
                 assert kernel == _SliceContext(pic, g, ctx_m).kernel
-                dvec, coef = ldl_positive([[-pic.pair(a, b) for b in kernel] for a in kernel]) if nk else ([], [])
+                dvec, coef = fraction_ldl([[-pic.pair(a, b) for b in kernel] for a in kernel])
                 assert ctx.q_num == 0 and gcd(ctx.q_den, *ctx.weights) == 1
                 for i in range(nk):
                     den, row = ctx.denoms[i], ctx.centre_rows[i]
@@ -580,6 +609,19 @@ class TestContextBuilds:
         assert enumerate_walls(query) == []
         assert builds == []
 
+    def test_a_walk_below_the_level_step_builds_no_context(self, monkeypatch):
+        """(x, g) is a multiple of d = gcd((g, .)) = 4 for g = (1, 0, 0, 0), so
+        a level cap of 1 to 3 leaves no scale to walk."""
+        builds = self.count_builds(monkeypatch)
+        pic, g, m = ladder_picard(4), (1, 0, 0, 0), (3, 4, 0, 0)
+        assert gcd(*pic.gram_times(g)) == 4
+        for cap in (1, 2, 3):
+            query = WallQuery(pic, g, m=m, level_cap=cap)
+            assert enumerate_walls(query) == brute_force_walls(query, 6) == []
+        assert builds == []
+        enumerate_walls(WallQuery(pic, g, m=m, level_cap=4))
+        assert len(builds) == 1
+
 
 class TestDivisibilityReadout:
     """Every wall gets its divisibility from the walk's parity residue: the
@@ -617,7 +659,8 @@ class TestDivisibilityReadout:
             WallQuery(ladder_picard(5), (16, 4, -5, -4, 4), targets=targets, level_cap=160)
         )
         assert len(walls) == count
-        assert calls == {"filter": hits, "gcd": hits, "forms": 0}
+        # one gcd per hit, and one per query: the level step d of g
+        assert calls == {"filter": hits, "gcd": hits + 1, "forms": 0}
 
 
 class TestParityPruning:

@@ -19,7 +19,7 @@ from hyperwall.rational_linalg import (
     saturation_index,
     solve_exact,
 )
-from lattice_fixtures import cofactor_det, random_hyperbolic_picard
+from lattice_fixtures import cofactor_det, fraction_ldl, random_hyperbolic_picard
 
 
 def rank_of(rows) -> int:
@@ -42,8 +42,8 @@ def rank_of(rows) -> int:
 
 
 # Fraction Gaussian elimination: the package's former determinant,
-# solve_exact, ldl_positive and inertia, kept as reference oracles for the
-# fraction-free (Bareiss) versions.
+# solve_exact and inertia, kept as reference oracles for the fraction-free
+# (Bareiss) versions; the LDL one, fraction_ldl, is in lattice_fixtures.
 
 
 def fraction_determinant(mat) -> Fraction:
@@ -94,30 +94,6 @@ def fraction_solve(a_rows, b):
     for r, c in pivots:
         sol[c] = aug[r][n] / aug[r][c]
     return sol
-
-
-def fraction_ldl(mat):
-    """LDL in Fractions: (d, coef) with x^T N x = sum d_i (x_i + sum coef_ij x_j)^2."""
-    check_symmetric(mat)
-    a = [[Fraction(x) for x in row] for row in mat]
-    n = len(a)
-    d = []
-    coef = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        di = a[i][i]
-        if di <= 0:
-            raise ValueError("matrix is not positive definite")
-        d.append(di)
-        for j in range(i + 1, n):
-            coef[i][j] = a[i][j] / di
-        for j in range(i + 1, n):
-            aij = a[i][j]
-            if aij:
-                for k in range(j, n):
-                    a[j][k] -= aij * a[i][k] / di
-                    if k != j:
-                        a[k][j] = a[j][k]
-    return d, coef
 
 
 def fraction_inertia(mat) -> tuple[int, int, int]:
@@ -408,15 +384,20 @@ class TestLdl:
                 [sum(b[k][i] * b[k][j] for k in range(n)) for j in range(n)]
                 for i in range(n)
             ]
-            d, coef = ldl_positive(m)
-            assert all(di > 0 for di in d)
+            scale, minors, rows = ldl_positive(m)
+            assert scale == 1 and all(p > 0 for p in minors)
             for _ in range(5):
                 x = [rng.randint(-4, 4) for _ in range(n)]
                 direct = sum(
                     x[i] * m[i][j] * x[j] for i in range(n) for j in range(n)
                 )
+                # d_i * (x_i + sum_j coef_ij x_j)^2 with d_i = D_{i+1}/D_i
+                # and coef_ij = rows[i][j - i - 1]/D_{i+1}
                 viaforms = sum(
-                    d[i] * (x[i] + sum(coef[i][j] * x[j] for j in range(i + 1, n))) ** 2
+                    Fraction(
+                        (minors[i + 1] * x[i] + sum(c * xj for c, xj in zip(rows[i], x[i + 1:]))) ** 2,
+                        minors[i] * minors[i + 1],
+                    )
                     for i in range(n)
                 )
                 assert viaforms == direct
@@ -580,6 +561,14 @@ def all_fractions(values) -> bool:
     return all(isinstance(x, Fraction) for x in values)
 
 
+def ldl_fractions(scale, minors, rows):
+    """The (d, coef) of fraction_ldl read from ldl_positive's integers:
+    d_i = D_{i+1}/(D_i * scale), row i of coef is rows[i]/D_{i+1}."""
+    d = [Fraction(p, prev * scale) for prev, p in zip(minors, minors[1:])]
+    coef = [[Fraction(0)] * (i + 1) + [Fraction(x, p) for x in row] for i, (p, row) in enumerate(zip(minors[1:], rows))]
+    return d, coef
+
+
 class TestBareissAgainstFractionReferences:
     """The fraction-free kernels equal Fraction Gaussian elimination."""
 
@@ -661,12 +650,46 @@ class TestBareissAgainstFractionReferences:
                 b[-1] = [0] * n
             mat = [[sum(r[i] * r[j] for r in b) for j in range(n)] for i in range(n)]
         got = outcome(ldl_positive, mat)
-        assert got == outcome(fraction_ldl, mat)
         if got[0] == "ok":
-            d, coef = got[1]
-            assert all_fractions(d) and all(all_fractions(row) for row in coef)
+            scale, minors, rows = got[1]
+            assert all(type(x) is int for x in (scale, *minors, *itertools.chain(*rows)))
+            got = "ok", ldl_fractions(scale, minors, rows)
+        assert got == outcome(fraction_ldl, mat)
         if kind == "semidefinite" and n:
             assert got == ("error", "matrix is not positive definite")
+
+    @KERNEL_SETTINGS
+    @given(
+        st.integers(min_value=0, max_value=5),
+        st.booleans(),
+        st.sampled_from(["definite", *SYMMETRIC_KINDS]),
+        st.data(),
+    )
+    def test_ldl_integers_rebuild_the_scaled_matrix(self, n, rational, kind, data):
+        """From the integers alone, scale*N = sum_i v_i v_i^T / (D_i D_{i+1})
+        with v_i = (0, ..., 0, D_{i+1}, rows[i]), and D_k is the k-th leading
+        minor of scale*N.  Every other input raises the reference's error."""
+        if kind == "definite":
+            b = data.draw(matrices(n, n, rational))
+            mat = [[sum(r[i] * r[j] for r in b) for j in range(n)] for i in range(n)]
+        else:
+            mat = data.draw(symmetric_matrices(n, rational, kind))
+        got, want = outcome(ldl_positive, mat), outcome(fraction_ldl, mat)
+        assert got[0] == want[0]
+        if got[0] == "error":
+            assert got == want
+            return
+        scale, minors, rows = got[1]
+        scaled = [[scale * x for x in row] for row in mat]
+        assert all(Fraction(x).denominator == 1 for row in scaled for x in row)
+        assert len(minors) == n + 1 and len(rows) == n
+        for k in range(n + 1):
+            assert minors[k] == fraction_determinant([row[:k] for row in scaled[:k]])
+        vs = [[0] * i + [minors[i + 1], *row] for i, row in enumerate(rows)]
+        for a in range(n):
+            for c in range(n):
+                rebuilt = sum(Fraction(v[a] * v[c], minors[i] * minors[i + 1]) for i, v in enumerate(vs))
+                assert rebuilt == scaled[a][c]
 
     @KERNEL_SETTINGS
     @given(
