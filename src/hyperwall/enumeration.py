@@ -68,7 +68,6 @@ from operator import mul
 
 from .lattice import PicardLattice, divisibility
 from .rational_linalg import (
-    _cleared,
     _reduced,
     column_reduce,
     integer_interval,
@@ -249,14 +248,10 @@ class _SliceContext:
     denominator, the smallest that makes its centre integral; one common
     factor q_den, the smallest, then clears the weights d_i/denoms[i]^2 and
     the radius.  They come from the Bareiss integers of ldl_positive (row i
-    over the minor D_{i+1}, d_i = D_{i+1}/D_i) and the cleared centre solve,
-    each over one common denominator that _reduced cuts to the smallest;
-    each descent node then costs one isqrt.
-
-    level0=True builds only what a walk of scale 0 alone reads, for
-    solutions() with caps of 0: at t[nk] = scale = 0 the u column and q_num
-    drop out, so the centre rows are cleared with p = 0 and the centre
-    system is not solved.
+    over the minor D_{i+1}, d_i = D_{i+1}/D_i) and the centre solve that
+    solve_exact reads from the same factor, each over one common
+    denominator that _reduced cuts to the smallest; each descent node then
+    costs one isqrt.
 
     The right-hand side is largest for the most negative square, and a
     second square s needs (s - s_low)*q_den less of it.  solutions() walks
@@ -269,8 +264,8 @@ class _SliceContext:
     off.
     """
 
-    def __init__(self, picard: PicardLattice, g, m=None, level0=False):
-        self.picard, self.level0 = picard, level0
+    def __init__(self, picard: PicardLattice, g, m=None):
+        self.picard = picard
         w = picard._gram_times(g)
         self.d, self.u, self.kernel = linear_form_basis(w)
         self.m_step = self.u_m = 0
@@ -295,7 +290,7 @@ class _SliceContext:
                 )
             gram_kernel = [picard._gram_times(b) for b in self.kernel]
             neg_gram = [[-_dot(self.kernel[i], row) for i in range(nk)] for row in gram_kernel]
-            scale, minors, ldl_rows = ldl_positive(neg_gram)
+            scale, minors, ldl_rows = ldl = ldl_positive(neg_gram)
         except ValueError as exc:
             raise ValueError(
                 "the form restricted to the complement of g is not negative "
@@ -303,14 +298,10 @@ class _SliceContext:
             ) from exc
         # the LDL centre of level i at t = 0, per unit of scale, is
         # p_i + sum_{j>i} ldl_rows[i][j-i-1]/D_{i+1} * p_j with p = xs/p_den
-        # solving neg_gram p = base; q_base = q_raw/p_den.  At scale 0 the u
-        # column drops out (t[nk] = 0), so p = 0 and neither is solved for.
-        if level0:
-            p_den, xs, q_raw = 1, [0] * nk, 0
-        else:
-            base = [_dot(self.u, row) for row in gram_kernel]
-            p_den, xs = _cleared(solve_exact(neg_gram, base))
-            q_raw = picard._pair(self.u, self.u) * p_den + _dot(base, xs)
+        # solving neg_gram p = base; q_base = q_raw/p_den
+        base = [_dot(self.u, row) for row in gram_kernel]
+        p_den, xs = solve_exact(ldl, base)
+        q_raw = picard._pair(self.u, self.u) * p_den + _dot(base, xs)
         self.denoms, self.centre_rows = [], []
         for i, (p, nums) in enumerate(zip(minors[1:], ldl_rows)):
             # row i of the LDL coefficients is nums/p, in the columns j > i
@@ -390,8 +381,6 @@ class _SliceContext:
         final a/b is returned; hits farther out may be returned too.  A hit
         at scale 0 crosses at t = 0 and never tightens a/b.
         """
-        if self.level0 and any(caps.values()):
-            raise ValueError("a level-0 slice context walks scale 0 only")
         found: list[tuple[int, tuple[int, ...], int]] = []
         d, nk, q_num, q_den = self.d, len(self.kernel), self.q_num, self.q_den
         denoms, weights, rows, columns = self.denoms, self.weights, self.centre_rows, self.columns
@@ -599,10 +588,8 @@ def _collect_walls(
     even = {square for square, divs in groups.items() if 1 not in divs}
     if nearest is not None:
         nearest = (groups, *nearest)
-    # a walk of scale 0 alone needs no centre solve (see _SliceContext)
-    level0 = first == 0 and not any(caps.values())
     walls: list[WallClass] = []
-    for square, x, res in _SliceContext(picard, g, m, level0).solutions(caps, first, even, nearest):
+    for square, x, res in _SliceContext(picard, g, m).solutions(caps, first, even, nearest):
         div = _wall_div(x, res, groups[square])
         if div:
             walls.append(WallClass(x, picard._to_ambient(x), square, div))

@@ -20,6 +20,7 @@ from .rational_linalg import (
     check_symmetric,
     determinant,
     inertia,
+    ldl_positive,
     saturation_index,
     solve_exact,
 )
@@ -299,7 +300,8 @@ class PicardLattice:
         vv = _as_vector(v, AMBIENT_RANK)
         basis = self.basis
         euclid = [[sum(map(mul, b, c)) for c in basis] for b in basis]
-        x = tuple(solve_exact(euclid, [sum(map(mul, b, vv)) for b in basis]))
+        den, xs = solve_exact(ldl_positive(euclid), [sum(map(mul, b, vv)) for b in basis])
+        x = tuple(Fraction(c, den) for c in xs)
         return x if self._to_ambient(x) == vv else None
 
     def signature(self) -> tuple[int, int, int]:

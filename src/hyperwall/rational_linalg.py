@@ -6,9 +6,10 @@ exact sign and equality questions, so even a single rounded intermediate
 value could silently drop or invent a wall.  The eliminations clear
 denominators once and then work in ints only (Bareiss, Math. Comp. 22,
 1968: every division is exact).  One symmetric pass gives inertia,
-determinant, solve_exact (a Fraction per output entry) and ldl_positive
-(the pass's integers); Euclid's column reduction gives linear_form_basis
-and saturation_index; integral_lll reduces lattice bases.
+determinant and ldl_positive (the pass's integers); solve_exact solves
+from that factor in integers, as Cholesky factor-then-solve does.
+Euclid's column reduction gives linear_form_basis and saturation_index;
+integral_lll reduces lattice bases.
 """
 
 from __future__ import annotations
@@ -101,31 +102,6 @@ def determinant(mat) -> Fraction:
     return Fraction(minors[n], scale**n) if len(minors) > n else Fraction(0)
 
 
-def solve_exact(mat, b) -> list[Fraction]:
-    """Solve N x = b for a symmetric positive definite rational N.
-
-    Raises ValueError when N is not positive definite.  The forward steps
-    of the symmetric pass are replayed on the cleared b (bordered into the
-    matrix, b could be swapped in by a pivot repair), and back substitution
-    solves for det * x, integral by Cramer's rule: every division is exact.
-    """
-    scale, a, minors = _eliminate(mat)
-    n = len(a)
-    # all n minors positive: N is positive definite, so no pivot was moved
-    if len(minors) <= n or min(minors) <= 0:
-        raise ValueError("matrix is not positive definite")
-    den, c = _cleared([scale * x for x in b])
-    for k in range(n):
-        pivot_row, p, prev = a[k], minors[k + 1], minors[k]
-        for r in range(k + 1, n):
-            c[r] = (p * c[r] - pivot_row[r] * c[k]) // prev
-    det, x = minors[n], [0] * n
-    for k in reversed(range(n)):
-        row = a[k]
-        x[k] = (det * c[k] - sum(row[j] * x[j] for j in range(k + 1, n))) // row[k]
-    return [Fraction(xk, det * den) for xk in x]
-
-
 def inertia(mat) -> tuple[int, int, int]:
     """Sylvester inertia (positive, negative, zero) of a symmetric matrix.
 
@@ -169,6 +145,27 @@ def ldl_positive(mat) -> tuple[int, list[int], list[list[int]]]:
     if len(minors) <= n or min(minors) <= 0:
         raise ValueError("matrix is not positive definite")
     return scale, minors, [row[i + 1:] for i, row in enumerate(a)]
+
+
+def solve_exact(ldl, b) -> tuple[int, list[int]]:
+    """Solve N x = b from ldl = ldl_positive(N), in integers.
+
+    Returns (den, xs) with x = xs/den in lowest terms and den > 0.  The
+    forward steps of the symmetric pass are replayed on the cleared b, and
+    back substitution solves for det * x, integral by Cramer's rule: every
+    division is exact.
+    """
+    scale, minors, rows = ldl
+    n = len(rows)
+    den, c = _cleared([scale * x for x in b])
+    for k, row in enumerate(rows):
+        p, prev = minors[k + 1], minors[k]
+        for r, f in enumerate(row, k + 1):
+            c[r] = (p * c[r] - f * c[k]) // prev
+    det, x = minors[n], [0] * n
+    for k in reversed(range(n)):
+        x[k] = (det * c[k] - sum(map(mul, rows[k], x[k + 1:]))) // minors[k + 1]
+    return _reduced(det * den, x)
 
 
 def integral_lll(gram, rows) -> list[list[int]]:

@@ -75,6 +75,36 @@ def fraction_ldl(mat):
     return d, coef
 
 
+# The package's former solve_exact, Gauss-Jordan in Fractions: the reference
+# for the integer solve from the LDL factor, and for the slice context's centre.
+def fraction_solve(a_rows, b):
+    """Gauss-Jordan in Fractions: A x = b, None if inconsistent."""
+    m = len(a_rows)
+    n = len(a_rows[0]) if m else 0
+    aug = [[Fraction(x) for x in row] + [Fraction(b[i])] for i, row in enumerate(a_rows)]
+    pivots = []
+    row = 0
+    for col in range(n):
+        piv = next((r for r in range(row, m) if aug[r][col] != 0), None)
+        if piv is None:
+            raise ValueError("matrix does not have full column rank")
+        aug[row], aug[piv] = aug[piv], aug[row]
+        pv = aug[row][col]
+        for r in range(m):
+            if r != row and aug[r][col] != 0:
+                f = aug[r][col] / pv
+                aug[r] = [x - f * y for x, y in zip(aug[r], aug[row])]
+        pivots.append((row, col))
+        row += 1
+    for r in range(row, m):
+        if aug[r][n] != 0:
+            return None
+    sol = [Fraction(0)] * n
+    for r, c in pivots:
+        sol[c] = aug[r][n] / aug[r][c]
+    return sol
+
+
 # Ambient vectors of negative square used to assemble random hyperbolic
 # Picard lattices.  Supports avoid e1/f1 so the positive generator can sit
 # there undisturbed.

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 from math import floor, gcd, isqrt, lcm
 
@@ -21,15 +22,16 @@ from hyperwall import (
     validate_polarization,
     vector_from_labels,
 )
-from hyperwall import enumeration
+from hyperwall import enumeration, rational_linalg
 from hyperwall.enumeration import DEFAULT_TARGETS, _SliceContext
-from hyperwall.rational_linalg import linear_form_basis, solve_exact
+from hyperwall.rational_linalg import linear_form_basis
 from lattice_fixtures import (
     DELTA,
     FIXTURE_G,
     PRUNING_TARGETS,
     H,
     fraction_ldl,
+    fraction_solve,
     ladder_picard,
     orthogonal_polarization,
     rank2_picard,
@@ -274,7 +276,7 @@ def covering_box(pic, g, level, square):
     bound = Fraction(2 * level * level, gg) - square
     box = 0
     for i in range(rank):
-        inverse_col = solve_exact(form, [int(i == j) for j in range(rank)])
+        inverse_col = fraction_solve(form, [int(i == j) for j in range(rank)])
         box = max(box, isqrt(floor(bound * inverse_col[i])))
     return box
 
@@ -372,7 +374,7 @@ class TestIntegerKernel:
                 neg_gram = [[-pic.pair(a, b) for b in kernel] for a in kernel]
                 base = [pic.pair(u, b) for b in kernel]
                 dvec, coef = fraction_ldl(neg_gram)
-                p_base = solve_exact(neg_gram, base)
+                p_base = fraction_solve(neg_gram, base)
                 q_base = pic.square(u) + sum(p * b for p, b in zip(p_base, base))
                 assert ctx.q_num == q_base * ctx.q_den
                 for i in range(nk):
@@ -423,7 +425,7 @@ class TestIntegerKernel:
             neg_gram = [[-pic.pair(a, b) for b in kernel] for a in kernel]
             base = [pic.pair(u, b) for b in kernel]
             dvec, coef = fraction_ldl(neg_gram)
-            p_base = solve_exact(neg_gram, base)
+            p_base = fraction_solve(neg_gram, base)
             q_base = pic.square(u) + sum(p * b for p, b in zip(p_base, base))
             assert ctx.q_num == q_base * ctx.q_den and gcd(ctx.q_den, ctx.q_num, *ctx.weights) == 1
             for i in range(nk):
@@ -511,67 +513,6 @@ class TestIntegerKernel:
         assert achieving == tuple(w for w in walls if w.rho_picard == (0, 1, 0, 2, 0))
 
 
-class TestLevelZeroContext:
-    """The context of a walk of scale 0 alone (validate_polarization) skips
-    the centre solve: its integers clear the same LDL data with p = 0."""
-
-    def test_integers_clear_the_ldl_data_with_no_centre(self):
-        rng = random.Random(17)
-        cases = [(PicardLattice([H]), (1,), None)]
-        for rank in (2, 3, 4, 5) * 3:
-            pic = random_hyperbolic_picard(rng, rank)
-            cases.append((pic, *random_polarized_pair(rng, pic)))
-        for pic, g, m in cases:
-            for ctx_m in (None, m):
-                ctx = _SliceContext(pic, g, ctx_m, level0=True)
-                kernel, nk = ctx.kernel, len(ctx.kernel)
-                # the same basis as the full context, so the same LDL data
-                assert kernel == _SliceContext(pic, g, ctx_m).kernel
-                dvec, coef = fraction_ldl([[-pic.pair(a, b) for b in kernel] for a in kernel])
-                assert ctx.q_num == 0 and gcd(ctx.q_den, *ctx.weights) == 1
-                for i in range(nk):
-                    den, row = ctx.denoms[i], ctx.centre_rows[i]
-                    assert ctx.weights[i] * den**2 == dvec[i] * ctx.q_den
-                    assert row == [-den * c for c in coef[i]] + [0]
-                    assert gcd(den, *row) == 1
-
-    def test_only_scale_zero_is_walked(self):
-        ctx = _SliceContext(rank2_picard(), FIXTURE_G, level0=True)
-        with pytest.raises(ValueError, match="scale 0 only"):
-            ctx.solutions({-2: 2})
-
-    def test_validate_polarization_solves_no_centre_system(self, monkeypatch):
-        calls = {"ldl_positive": 0, "solve_exact": 0}
-
-        def counted(name):
-            fn = getattr(enumeration, name)
-
-            def wrapped(*args):
-                calls[name] += 1
-                return fn(*args)
-
-            return wrapped
-
-        for name in calls:
-            monkeypatch.setattr(enumeration, name, counted(name))
-        rng = random.Random(31)
-        raised = checked = 0
-        for rank in (2, 3, 4, 5) * 4:
-            pic = random_hyperbolic_picard(rng, rank)
-            g = orthogonal_polarization(rng, pic) if checked % 2 else random_polarized_pair(rng, pic)[0]
-            checked += 1
-            try:
-                validate_polarization(pic, g)
-            except PreconditionError:
-                raised += 1
-        assert calls == {"ldl_positive": checked, "solve_exact": 0}
-        assert 0 < raised < checked
-        # is_ample still solves it once, for its walk sliced along m
-        pic, g, m = ladder_picard(3), (15, 1, 4), (3, 4, 0)
-        is_ample(pic, g, m)
-        assert calls == {"ldl_positive": checked + 2, "solve_exact": 1}
-
-
 class TestContextBuilds:
     """How many slice contexts a query builds."""
 
@@ -602,6 +543,56 @@ class TestContextBuilds:
                 raised += 1
         assert len(builds) == calls
         assert 0 < raised < calls
+
+    def test_each_build_eliminates_once(self, monkeypatch):
+        """A context factors its negated kernel Gram once (ldl_positive) and
+        solves the centre system from that factor (solve_exact): one
+        elimination per build, for every verdict, raising or not."""
+        calls = Counter()
+
+        def count(module, name):
+            fn = getattr(module, name)
+
+            def wrapped(*args):
+                calls[name] += 1
+                return fn(*args)
+
+            monkeypatch.setattr(module, name, wrapped)
+
+        count(rational_linalg, "_eliminate")
+        count(enumeration, "ldl_positive")
+        count(enumeration, "solve_exact")
+        per_build = []
+        init = _SliceContext.__init__
+
+        def build(ctx, *args):
+            before = calls.copy()
+            init(ctx, *args)
+            per_build.append(calls - before)
+
+        monkeypatch.setattr(_SliceContext, "__init__", build)
+        verdicts = {
+            "validate_polarization": lambda pic, g, m: validate_polarization(pic, g),
+            "enumerate_walls": lambda pic, g, m: enumerate_walls(WallQuery(pic, g, m=m)),
+            "is_ample": is_ample,
+            "nef_threshold": nef_threshold,
+        }
+        once = Counter(_eliminate=1, ldl_positive=1, solve_exact=1)
+        rng = random.Random(31)
+        for verdict, run in verdicts.items():
+            per_build.clear()
+            raised = 0
+            for case, rank in enumerate((2, 3, 4, 5) * 4):
+                pic = random_hyperbolic_picard(rng, rank)
+                g = orthogonal_polarization(rng, pic) if case % 2 else None
+                g, m = random_polarized_pair(rng, pic, g=g)
+                try:
+                    run(pic, g, m)
+                except PreconditionError:
+                    raised += 1
+            assert per_build and all(counts == once for counts in per_build), verdict
+            # every verdict but the plain wall list rejects a g orthogonal to a wall
+            assert bool(raised) == (verdict != "enumerate_walls"), verdict
 
     def test_a_walk_of_no_level_builds_no_context(self, monkeypatch):
         builds = self.count_builds(monkeypatch)

@@ -24,7 +24,7 @@ from hyperwall import (
     validate_polarization,
     vector_from_labels,
 )
-from hyperwall.enumeration import DEFAULT_TARGETS, _SliceContext, _target_groups
+from hyperwall.enumeration import DEFAULT_TARGETS, _SliceContext
 from lattice_fixtures import (
     PRUNING_TARGETS,
     cofactor_det,
@@ -405,31 +405,6 @@ class TestBoundedNefThreshold:
 
 
 LEVEL_ZERO_TARGETS = (DEFAULT_TARGETS, MIXED_TARGETS, NON_PRIMITIVE_TARGETS)
-
-
-class TestLevelZeroWalk:
-    """The context that walks scale 0 alone skips the centre solve, yet
-    finds the level-0 hits of the full context, in the same order."""
-
-    @pytest.mark.parametrize("rank", [2, 3, 4, 5])
-    @pytest.mark.parametrize("targets", LEVEL_ZERO_TARGETS)
-    def test_hits_equal_the_full_context_at_level_zero(self, rank, targets):
-        groups = _target_groups(targets)
-        even = {square for square, divs in groups.items() if 1 not in divs}
-        caps = dict.fromkeys(groups, 0)
-        rng = random.Random(f"level0:{rank}:{targets}")
-        found = 0
-        for case in range(12):
-            pic = random_hyperbolic_picard(rng, rank)
-            g, m = random_polarized_pair(rng, pic)
-            if case % 2:
-                g = orthogonal_polarization(rng, pic)
-            for ctx_m in (None, m):
-                full = _SliceContext(pic, g, ctx_m).solutions(caps, 0, even)
-                lean = _SliceContext(pic, g, ctx_m, level0=True).solutions(caps, 0, even)
-                assert lean == full
-                found += len(full)
-        assert found
 
 
 class TestLevelZeroThreshold:

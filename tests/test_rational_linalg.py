@@ -19,7 +19,7 @@ from hyperwall.rational_linalg import (
     saturation_index,
     solve_exact,
 )
-from lattice_fixtures import cofactor_det, fraction_ldl, random_hyperbolic_picard
+from lattice_fixtures import cofactor_det, fraction_ldl, fraction_solve, random_hyperbolic_picard
 
 
 def rank_of(rows) -> int:
@@ -41,9 +41,10 @@ def rank_of(rows) -> int:
     return rank
 
 
-# Fraction Gaussian elimination: the package's former determinant,
-# solve_exact and inertia, kept as reference oracles for the fraction-free
-# (Bareiss) versions; the LDL one, fraction_ldl, is in lattice_fixtures.
+# Fraction Gaussian elimination: the package's former determinant and
+# inertia, kept as reference oracles for the fraction-free (Bareiss)
+# versions; the LDL and solve ones, fraction_ldl and fraction_solve, are in
+# lattice_fixtures.
 
 
 def fraction_determinant(mat) -> Fraction:
@@ -66,34 +67,6 @@ def fraction_determinant(mat) -> Fraction:
                 f = a[r][col] * inv
                 a[r] = [x - f * y for x, y in zip(a[r], a[col])]
     return det
-
-
-def fraction_solve(a_rows, b):
-    """Gauss-Jordan in Fractions: A x = b, None if inconsistent."""
-    m = len(a_rows)
-    n = len(a_rows[0]) if m else 0
-    aug = [[Fraction(x) for x in row] + [Fraction(b[i])] for i, row in enumerate(a_rows)]
-    pivots = []
-    row = 0
-    for col in range(n):
-        piv = next((r for r in range(row, m) if aug[r][col] != 0), None)
-        if piv is None:
-            raise ValueError("matrix does not have full column rank")
-        aug[row], aug[piv] = aug[piv], aug[row]
-        pv = aug[row][col]
-        for r in range(m):
-            if r != row and aug[r][col] != 0:
-                f = aug[r][col] / pv
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[row])]
-        pivots.append((row, col))
-        row += 1
-    for r in range(row, m):
-        if aug[r][n] != 0:
-            return None
-    sol = [Fraction(0)] * n
-    for r, c in pivots:
-        sol[c] = aug[r][n] / aug[r][c]
-    return sol
 
 
 def fraction_inertia(mat) -> tuple[int, int, int]:
@@ -264,12 +237,13 @@ class TestRankSolve:
             b = [sum(a[i][j] * x[j] for j in range(n)) for i in range(m)]
             ata = [[sum(row[i] * row[j] for row in a) for j in range(n)] for i in range(n)]
             atb = [sum(row[i] * bi for row, bi in zip(a, b)) for i in range(n)]
-            assert solve_exact(ata, atb) == [Fraction(v) for v in x]
+            den, xs = solve_exact(ldl_positive(ata), atb)
+            assert [Fraction(v, den) for v in xs] == [Fraction(v) for v in x]
             done += 1
 
     def test_solve_rejects_column_deficiency(self):
-        with pytest.raises(ValueError):
-            solve_exact([[1, 2], [2, 4]], [1, 2])
+        with pytest.raises(ValueError, match="not positive definite"):
+            solve_exact(ldl_positive([[1, 2], [2, 4]]), [1, 2])
 
 
 class TestLinearFormBasis:
@@ -557,8 +531,9 @@ def symmetric_matrices(draw, n, rational, kind):
     return [[mat[perm[i]][perm[j]] for j in range(n)] for i in range(n)]
 
 
-def all_fractions(values) -> bool:
-    return all(isinstance(x, Fraction) for x in values)
+def solve(mat, rhs):
+    """N x = rhs through the factor: solve_exact(ldl_positive(N), rhs)."""
+    return solve_exact(ldl_positive(mat), rhs)
 
 
 def ldl_fractions(scale, minors, rows):
@@ -619,13 +594,15 @@ class TestBareissAgainstFractionReferences:
         else:
             mat = data.draw(symmetric_matrices(n, rational, kind))
         rhs = data.draw(matrices(1, n, rational))[0]
-        got = outcome(solve_exact, mat, rhs)
+        got = outcome(solve, mat, rhs)
         ldl = outcome(fraction_ldl, mat)
         if ldl[0] == "error":
             assert got == ldl
         else:
-            assert got == ("ok", fraction_solve(mat, rhs))
-            assert all_fractions(got[1])
+            den, xs = got[1]
+            assert all(type(x) is int for x in (den, *xs))
+            assert den > 0 and gcd(den, *xs) == 1
+            assert [Fraction(x, den) for x in xs] == fraction_solve(mat, rhs)
         if kind in ("low_rank", "zero_diagonal") and n:
             assert got == ("error", "matrix is not positive definite")
 
@@ -732,10 +709,11 @@ class TestBareissAgainstFractionReferences:
         assert determinant(mat) == determinant(as_fractions)
         assert inertia(mat) == inertia(as_fractions)
         assert outcome(ldl_positive, mat) == outcome(ldl_positive, as_fractions)
-        got = outcome(solve_exact, mat, rhs)
-        assert got == outcome(solve_exact, as_fractions, [Fraction(x) for x in rhs])
+        got = outcome(solve, mat, rhs)
+        assert got == outcome(solve, as_fractions, [Fraction(x) for x in rhs])
         if got[0] == "ok":
-            assert all_fractions(got[1])
+            den, xs = got[1]
+            assert all(type(x) is int for x in (den, *xs))
 
     def test_ldl_rejects_asymmetric_alike(self):
         mat = [[2, 1], [0, 2]]
