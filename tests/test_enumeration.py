@@ -24,7 +24,7 @@ from hyperwall import (
 )
 from hyperwall import enumeration, rational_linalg
 from hyperwall.enumeration import DEFAULT_TARGETS, _SliceContext
-from hyperwall.rational_linalg import linear_form_basis
+from hyperwall.rational_linalg import ldl_positive, linear_form_basis
 from lattice_fixtures import (
     DELTA,
     FIXTURE_G,
@@ -511,6 +511,59 @@ class TestIntegerKernel:
         assert calls <= 100
         assert tau == Fraction(1, 2)
         assert achieving == tuple(w for w in walls if w.rho_picard == (0, 1, 0, 2, 0))
+
+
+class TestLevelZeroContext:
+    """What a walk of scale 0 reads of its context, and that such a walk is
+    all validate_polarization asks for."""
+
+    def test_integers_clear_the_ldl_data_with_no_centre(self):
+        """The centre aside (the last entry of each centre row, the one that
+        multiplies the scale), the weights and rows clear the Bareiss
+        integers of ldl_positive on the context's own kernel: a walk of
+        scale 0 reads the factor alone."""
+        rng = random.Random(17)
+        cases = [(PicardLattice([H]), (1,), None)]
+        for rank in (2, 3, 4, 5) * 3:
+            pic = random_hyperbolic_picard(rng, rank)
+            cases.append((pic, *random_polarized_pair(rng, pic)))
+        for pic, g, m in cases:
+            for ctx_m in (None, m):
+                ctx = _SliceContext(pic, g, ctx_m)
+                kernel, nk = ctx.kernel, len(ctx.kernel)
+                scale, minors, rows = ldl_positive([[-pic.pair(a, b) for b in kernel] for a in kernel])
+                assert len(rows) == nk and gcd(ctx.q_den, ctx.q_num, *ctx.weights) == 1
+                for i in range(nk):
+                    den, row = ctx.denoms[i], ctx.centre_rows[i]
+                    # d_i = D_{i+1}/(D_i * scale); row i of the LDL coefficients is rows[i]/D_{i+1}
+                    assert ctx.weights[i] * den**2 * minors[i] * scale == minors[i + 1] * ctx.q_den
+                    coef = [0] * (i + 1) + [Fraction(c, minors[i + 1]) for c in rows[i]]
+                    assert row[:nk] == [-den * c for c in coef]
+                    assert gcd(den, *row) == 1
+
+    def test_only_scale_zero_is_walked(self, monkeypatch):
+        """validate_polarization walks scale 0 alone: one unsliced walk from
+        first = 0 with every cap 0, whether it raises or not."""
+        walks = []
+        solutions = _SliceContext.solutions
+
+        def recorded(ctx, caps, first=1, *args):
+            walks.append((ctx.m_step, set(caps.values()), first))
+            return solutions(ctx, caps, first, *args)
+
+        monkeypatch.setattr(_SliceContext, "solutions", recorded)
+        rng = random.Random(23)
+        raised = checked = 0
+        for rank in (2, 3, 4, 5) * 3:
+            pic = random_hyperbolic_picard(rng, rank)
+            g = orthogonal_polarization(rng, pic) if checked % 2 else random_polarized_pair(rng, pic)[0]
+            checked += 1
+            try:
+                validate_polarization(pic, g)
+            except PreconditionError:
+                raised += 1
+        assert walks == [(0, {0}, 0)] * checked
+        assert 0 < raised < checked
 
 
 class TestContextBuilds:

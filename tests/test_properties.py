@@ -24,7 +24,7 @@ from hyperwall import (
     validate_polarization,
     vector_from_labels,
 )
-from hyperwall.enumeration import DEFAULT_TARGETS, _SliceContext
+from hyperwall.enumeration import DEFAULT_TARGETS, _SliceContext, _target_groups
 from lattice_fixtures import (
     PRUNING_TARGETS,
     cofactor_det,
@@ -405,6 +405,36 @@ class TestBoundedNefThreshold:
 
 
 LEVEL_ZERO_TARGETS = (DEFAULT_TARGETS, MIXED_TARGETS, NON_PRIMITIVE_TARGETS)
+
+
+class TestLevelZeroWalk:
+    """A walk of scale 0 alone finds the level-0 hits of the same context's
+    walk over more scales, in the same order; sliced along m, it finds those
+    of the unsliced context with (x, m) <= 0."""
+
+    @pytest.mark.parametrize("rank", [2, 3, 4, 5])
+    @pytest.mark.parametrize("targets", LEVEL_ZERO_TARGETS)
+    def test_hits_equal_the_full_context_at_level_zero(self, rank, targets):
+        groups = _target_groups(targets)
+        even = {square for square, divs in groups.items() if 1 not in divs}
+        caps = dict.fromkeys(groups, 0)
+        rng = random.Random(f"level0:{rank}:{targets}")
+        found = 0
+        for case in range(12):
+            pic = random_hyperbolic_picard(rng, rank)
+            g, m = random_polarized_pair(rng, pic)
+            if case % 2:
+                g = orthogonal_polarization(rng, pic)
+            wider = dict.fromkeys(groups, 2 * gcd(*pic.gram_times(g)))
+            level0 = {}
+            for ctx_m in (None, m):
+                ctx = _SliceContext(pic, g, ctx_m)
+                hits = ctx.solutions(caps, 0, even)
+                assert hits == [hit for hit in ctx.solutions(wider, 0, even) if pic.pair(hit[1], g) == 0]
+                level0[ctx_m] = sorted((square, x) for square, x, _ in hits)
+                found += len(hits)
+            assert level0[m] == [hit for hit in level0[None] if pic.pair(hit[1], m) <= 0]
+        assert found
 
 
 class TestLevelZeroThreshold:
