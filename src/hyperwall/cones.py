@@ -231,15 +231,16 @@ def nef_threshold(
     gcoords = tuple(g)
     targets = _read_targets(targets)
     _, groups = _checked_polarization(picard, gcoords, targets)
-    coords = tuple(m)
+    # an m error comes after every error of g, the walk's included
     try:
+        coords = tuple(m)
         mm, gm = picard.square(coords), picard._pair(coords, gcoords)
-    except ValueError:
-        mm = gm = 0  # a malformed m: square(m) below raises its error
-    if mm <= 0 or gm <= 0:
-        # an m error comes after every error of g, the walk's included
+    except (TypeError, ValueError):
         validate_polarization(picard, gcoords, targets)
-        if picard.square(coords) <= 0:
+        raise
+    if mm <= 0 or gm <= 0:
+        validate_polarization(picard, gcoords, targets)
+        if mm <= 0:
             raise PreconditionError("nef_threshold requires (m, m) > 0")
         raise PreconditionError("nef_threshold requires (m, g) > 0")
     gg = picard._pair(gcoords, gcoords)

@@ -238,30 +238,27 @@ class _SliceContext:
     gets no slice, but its level caps are then 0.
 
     The descent itself runs in integers only (Fincke-Pohst with cleared
-    denominators).  On the slice (x, g) = k = scale*d, writing
-    x = scale*u + sum_j t_j kernel_j, the condition (x, x) = square reads
+    denominators).  On the slice (x, g) = k = scale*d, with
+    x = scale*u + sum_j t_j kernel_j, position p of the walk order
+    w = (scale, t_{nk-1}, ..., t_0) holds level nk - p, and (x, x) = square
+    reads
 
-        sum_i weights[i] * (t_i*denoms[i] - n_i)^2 = scale^2*q_num - square*q_den
+        sum_p weights[p] * (w_p*denoms[p] - n_p)^2 = -square*q_den
 
-    with n_i = centre_rows[i] . (t_0, ..., t_{nk-1}, scale), so the LDL
-    centre of level i is n_i/denoms[i].  Each level has its own
-    denominator, the smallest that makes its centre integral; one common
-    factor q_den, the smallest, then clears the weights d_i/denoms[i]^2 and
-    the radius.  They come from the Bareiss integers of ldl_positive (row i
-    over the minor D_{i+1}, d_i = D_{i+1}/D_i) and the centre solve that
-    solve_exact reads from the same factor, each over one common
-    denominator that _reduced cuts to the smallest; each descent node then
-    costs one isqrt.
+    with n_p = centre_rows[p] . w: row p holds only the p coordinates fixed
+    before position p (the scale's row is empty, its denominator 1, its
+    weight -q_num).  Each level has its own denominator, the smallest that
+    makes its centre n_p/denoms[p] integral; one common factor q_den, the
+    smallest, then clears the weights and the radius.  They come from the
+    Bareiss integers of ldl_positive (row i over the minor D_{i+1},
+    d_i = D_{i+1}/D_i) and the centre solve that solve_exact reads from the
+    same factor, each over one common denominator that _reduced cuts to
+    the smallest; each descent node then costs one isqrt.
 
     The right-hand side is largest for the most negative square, and a
-    second square s needs (s - s_low)*q_den less of it.  solutions() walks
-    each scale with the largest budget of the squares it asks for there
-    (they change only where a scale passes a cap), or of those that allow
-    odd divisibility below a node that cannot complete to even divisibility
-    (see _parity; built only for a walk with an even-only square and a
-    level above the innermost, where it can prune).  Level 1 is a plain
-    loop that tests level 0 exactly for each such square, its offset taken
-    off.
+    second square s needs (s - s_low)*q_den less of it, so solutions()
+    walks each scale once with the largest budget it needs (see there) and
+    tests level 0 exactly for each square, its offset taken off.
     """
 
     def __init__(self, picard: PicardLattice, g, m=None):
@@ -302,23 +299,27 @@ class _SliceContext:
         base = [_dot(self.u, row) for row in gram_kernel]
         p_den, xs = solve_exact(ldl, base)
         q_raw = picard._pair(self.u, self.u) * p_den + _dot(base, xs)
-        self.denoms, self.centre_rows = [], []
-        for i, (p, nums) in enumerate(zip(minors[1:], ldl_rows)):
-            # row i of the LDL coefficients is nums/p, in the columns j > i
+        # walk order: position 0 is the scale, position p is level i = nk - p
+        self.denoms, self.centre_rows, dens = [1], [[]], []
+        for i in range(nk - 1, -1, -1):
+            # row i of the LDL coefficients is nums/p, in the columns j > i;
+            # its centre row reads the scale, then t_{nk-1}, ..., t_{i+1}
+            p, nums = minors[i + 1], ldl_rows[i]
             centre = p * xs[i] + _dot(nums, xs[i + 1:])
-            den, row = _reduced(p * p_den, [0] * (i + 1) + [-p_den * c for c in nums] + [centre])
+            den, row = _reduced(p * p_den, [centre] + [-p_den * c for c in reversed(nums)])
             self.denoms.append(den)
             self.centre_rows.append(row)
-        # the weights d_i/denoms[i]^2, d_i = D_{i+1}/(D_i * scale), and q_base
-        # over one common denominator, cut by _reduced to the smallest
-        dens = [prev * scale * den * den for prev, den in zip(minors, self.denoms)]
+            # the weight d_i/den^2, d_i = D_{i+1}/(D_i * scale), is p/dens[-1]
+            dens.append(minors[i] * scale * den * den)
+        # -q_base and the weights over one common denominator, cut by _reduced
+        # to the smallest
         common = lcm(p_den, *dens)
-        self.q_den, (*self.weights, self.q_num) = _reduced(
+        self.q_den, self.weights = _reduced(
             common,
-            [p * (common // e) for p, e in zip(minors[1:], dens)] + [q_raw * (common // p_den)],
+            [-q_raw * (common // p_den)] + [p * (common // e) for p, e in zip(minors[:0:-1], dens)],
         )
-        # x = columns . (t_0, ..., t_{nk-1}, scale), one column per coordinate
-        self.columns = [list(col) for col in zip(*self.kernel, self.u)]
+        self.q_num = -self.weights[0]
+        self.columns = [list(col) for col in zip(self.u, *reversed(self.kernel))]
 
     def _parity(self) -> tuple[list[int], list[int]]:
         """GF(2) data of the descent coordinates t = (t_0, ..., t_{nk-1}, scale).
@@ -326,8 +327,9 @@ class _SliceContext:
         P_j, the ambient pairings mod 2 of column j, written in a basis of
         their span picked greedily from P_0, P_1, ...: then
         V_i = span(P_0, ..., P_{i-1}) holds exactly the vectors below bit
-        rho[i].  Returns (Q, rho): Q[j] is P_j in that basis (with a 0 for
-        the spare slot), rho[i] = dim V_i for i <= nk.
+        rho_i.  Returns (Q, rho) in walk order: Q[p] is P_{nk-p} in that
+        basis (P_nk for the scale, with a 0 for the spare slot), and
+        rho[p] = dim V_{nk-p}.
         """
         masks = self.picard._parity_masks
         reduced: list[tuple[int, int, int]] = []  # (vector, its coordinates, pivot bit)
@@ -345,8 +347,7 @@ class _SliceContext:
                 reduced.append((p, q ^ bit, p & -p))
                 q = bit
             coords.append(q)
-        coords.append(0)
-        return coords, rho
+        return coords[::-1] + [0], rho[::-1]
 
     def solutions(
         self, caps, first: int = 1, even=frozenset(), nearest=None
@@ -384,7 +385,6 @@ class _SliceContext:
         found: list[tuple[int, tuple[int, ...], int]] = []
         d, nk, q_num, q_den = self.d, len(self.kernel), self.q_num, self.q_den
         denoms, weights, rows, columns = self.denoms, self.weights, self.centre_rows, self.columns
-        top = nk - 1
         u_m, m_step = self.u_m, self.m_step
         a = b = 1
         if nearest is not None:
@@ -393,27 +393,24 @@ class _SliceContext:
             # an m proportional to g has no clip to tighten (and caps of 0)
             if not m_step:
                 nearest = None
-        den0, w0 = (denoms[0], weights[0]) if nk else (1, 1)
-        # with nk == 1 the only level is the innermost: it is entered as one
-        # step of a level-1 loop of weight 0 that writes the spare slot
-        den1, w1, slot = (denoms[1], weights[1], 1) if nk > 1 else (1, 0, nk + 1)
-        # Flat Fincke-Pohst walk, outermost level first.  Level i >= 2 keeps
-        # its centre numerator, the budget it was entered with and its range
-        # end; level 1 is a plain loop that tests level 0 inline.  t[nk] =
-        # scale, so rows[i] . t is the centre numerator of level i; no row
-        # reads the spare slot t[nk + 1].
-        t = [0] * (nk + 2)
+        # Flat Fincke-Pohst walk over w = (scale, t_{nk-1}, ..., t_0, spare): the
+        # top's centre is top_c*scale, positions 1 .. nk - 2 (levels >= 2) keep
+        # centre numerator, entry budget and range end, level 1 is a plain loop
+        # and level 0 (position nk; with nk == 1 also the top) is solved for.
+        den0, w0 = denoms[nk], weights[nk]
+        den1, w1, slot = (denoms[nk - 1], weights[nk - 1], nk - 1) if nk > 1 else (1, 0, nk + 1)
+        top_c, den_top, w_top = (rows[1][0], denoms[1], weights[1]) if nk > 1 else (0, 1, 1)
+        w = [0] * (nk + 2)
         centres, entered, stops = [0] * nk, [0] * nk, [0] * nk
-        # res[i] is the parity residue sum_{j >= i} t_j Q_j of the current
-        # node at level i, or -1 once it has no even completion (its budget
-        # is then shifted, and so is that of every node below it)
+        # res[p]: the parity residue of the node at position p, or -1 once it has
+        # no even completion (its budget, and those of the nodes below, shifted)
         res = [0] * (nk + 1)
         # the GF(2) data can prune only with an even-only square and a level
         # above the innermost; elsewhere each hit reads its residue from x
         pruned = bool(even) and nk > 1
         coords, rho = self._parity() if pruned else ([0] * (nk + 2), [0] * (nk + 1))
         masks = self.picard._parity_masks
-        q1, rho1 = coords[slot], rho[1] if nk else 0
+        q1, rho1 = coords[slot], rho[nk - 1]
         start = -(-first // d)
         # the squares a scale asks for change only where it passes a cap
         for cap in sorted(set(caps.values())):
@@ -421,7 +418,7 @@ class _SliceContext:
             if end <= start:
                 continue
             squares = sorted(s for s, c in caps.items() if c >= cap)
-            low = squares[0]
+            low, low_q = squares[0], squares[0] * q_den
             # square s leaves (s - low)*q_den less budget than the lowest one
             leaves = [(s, (s - low) * q_den, s in even) for s in squares]
             # a node with no even completion walks on with the budget of the
@@ -431,7 +428,7 @@ class _SliceContext:
             shift = odd_leaves[0][1] if odd_leaves else None
             shifted_leaves = [(s, off - shift, False) for s, off, _ in odd_leaves]
             for scale in range(start, end):
-                budget = scale * scale * q_num - low * q_den
+                budget = scale * scale * q_num - low_q
                 if budget < 0:
                     continue
                 if nearest is not None:
@@ -440,8 +437,8 @@ class _SliceContext:
                     c = b - a
                     if (scale * d) ** 2 * (mm * a * a + 2 * gm * a * c + gg * c * c) > -low * disc * a * a:
                         break
-                r = coords[nk] if scale & 1 else 0
-                if r >> rho[nk]:
+                r = coords[0] if scale & 1 else 0
+                if r >> rho[0]:
                     if shift is None or budget < shift:
                         continue
                     budget -= shift
@@ -451,44 +448,39 @@ class _SliceContext:
                     r = _readout(x, masks)
                     found.extend((s, x, r) for s, off, parity in leaves if budget == off and not (parity and r))
                     continue
-                t[nk], res[nk] = scale, r
-                # (x, m) = scale*(u, m) + m_step*t[top] <= -ceil(k(b - a)/a)
-                # <=>  t[top] < top_stop, with k = scale*d
-                top_stop = ((-scale * d * (b - a)) // a - scale * u_m) // m_step + 1 if m_step else None
-                # with nk == 1 the clipped coordinate is t[0], fixed by the root
-                stop0 = top_stop if top == 0 else None
-                i, remaining = top, budget
+                w[0], res[0] = scale, r
+                # w[1] < top_stop <=> (x, m) = scale*(u, m) + m_step*w[1] <= -ceil(k(b - a)/a)
+                if nearest is None:
+                    top_stop = -scale * u_m // m_step + 1 if m_step else None
+                else:
+                    top_stop = ((-scale * d * (b - a)) // a - scale * u_m) // m_step + 1
+                stop0 = top_stop if nk == 1 else None  # the clip of a top at level 0
+                p, remaining = 1, budget
+                if nk > 1:
+                    n = top_c * scale
+                    span = integer_interval(n, den_top, budget // w_top)
+                    lo, stop = span.start, span.stop
+                    if top_stop is not None and top_stop < stop:
+                        stop = top_stop
+                else:
+                    n, lo, stop = 0, 0, 1
                 while True:
-                    if i:
-                        n = sum(map(mul, rows[i], t))
-                        span = integer_interval(n, denoms[i], remaining // weights[i])
-                        lo, stop = span.start, span.stop
-                        if i == top and top_stop is not None and top_stop < stop:
-                            stop = top_stop
+                    if p < nk - 1:
+                        centres[p], entered[p], stops[p], w[p] = n, remaining, stop, lo - 1
                     else:
-                        n, lo, stop = 0, 0, 1
-                    if i > 1:
-                        centres[i], entered[i], stops[i], t[i] = n, remaining, stop, lo - 1
-                    else:
-                        # the level-1 node's residue and squares depend on
-                        # t1 only through its parity
-                        r_even = res[i + 1]
+                        # level 1: its residue and squares depend on t1's parity alone
+                        r_even = res[p - 1]
                         if r_even < 0:
-                            r_odd = r_even
-                            walk_even = walk_odd = shifted_leaves
+                            at_even = at_odd = (r_even, shifted_leaves)
                         else:
                             r_odd = r_even ^ q1
-                            walk_even = odd_leaves if r_even >> rho1 else leaves
-                            walk_odd = odd_leaves if r_odd >> rho1 else leaves
+                            at_even = (r_even, odd_leaves if r_even >> rho1 else leaves)
+                            at_odd = (r_odd, odd_leaves if r_odd >> rho1 else leaves)
                         for t1 in range(lo, stop):
-                            if t1 & 1:
-                                r1, walked = r_odd, walk_odd
-                            else:
-                                r1, walked = r_even, walk_even
+                            r1, walked = at_odd if t1 & 1 else at_even
                             e = t1 * den1 - n
                             left = remaining - w1 * e * e
-                            # level 0: each square's budget must be consumed
-                            # exactly, so solve for t[0] instead of walking
+                            # level 0 uses up a square's budget exactly: solve for t_0
                             for s, off, parity in walked:
                                 q, r = divmod(left - off, w0)
                                 if q < 0:
@@ -496,58 +488,67 @@ class _SliceContext:
                                 root = isqrt(q)
                                 if r or root * root != q:
                                     continue
-                                t[slot] = t1
-                                n0 = sum(map(mul, rows[0], t))
+                                w[slot] = t1
+                                n0 = sum(map(mul, rows[nk], w))
                                 for v in (n0 + root, n0 - root) if root else (n0,):
                                     if v % den0 == 0:
-                                        t[0] = v // den0
-                                        if stop0 is not None and t[0] >= stop0:
+                                        w[nk] = v // den0
+                                        if stop0 is not None and w[nk] >= stop0:
                                             continue
-                                        # the carried residue, or that of x = columns . t
+                                        # the carried residue, or that of x; an even-only
+                                        # square needs residue 0
                                         if pruned:
-                                            residue = (r1 ^ coords[0]) if t[0] & 1 else r1
+                                            residue = r1 ^ coords[nk] if w[nk] & 1 else r1
+                                            if parity and residue:
+                                                continue
+                                            x = tuple(sum(map(mul, col, w)) for col in columns)
                                         else:
-                                            residue = _readout(map(_dot, columns, itertools.repeat(t)), masks)
-                                        # an even-only square needs residue 0
-                                        if parity and residue:
-                                            continue
-                                        x = tuple(sum(map(mul, col, t)) for col in columns)
+                                            x = tuple(sum(map(mul, col, w)) for col in columns)
+                                            residue = _readout(x, masks)
+                                            if parity and residue:
+                                                continue
                                         found.append((s, x, residue))
                                         # a scale-0 hit crosses at 0 and would set a = 0
                                         if nearest is None or not scale:
                                             continue
                                         # a wall crossing before a/b tightens the bound
-                                        k, j = scale * d, scale * u_m + m_step * t[top]
+                                        k, j = scale * d, scale * u_m + m_step * w[1]
                                         if k * b < a * (k - j) and _wall_div(x, residue, groups[s]):
                                             a, b = k, k - j
-                                            # at this scale the clip is now t[top] <= its
+                                            # at this scale the clip is now w[1] <= its
                                             # value (a rank-3 level-1 loop runs its range out)
-                                            if top:
-                                                stops[top] = t[top] + 1
+                                            if nk > 1:
+                                                stops[1] = w[1] + 1
                                             else:
-                                                stop0 = t[0] + 1
-                        i = 2
-                    # the next node at the innermost level that has one left;
-                    # a node with no even completion is skipped or shifted
-                    while i < nk:
-                        t[i] += 1
-                        if t[i] >= stops[i]:
-                            i += 1
+                                                stop0 = w[1] + 1
+                        p = nk - 2
+                    # the next node at the innermost position that has one
+                    # left and a child with a nonempty range; a node with no
+                    # even completion is skipped or shifted
+                    while p > 0:
+                        w[p] += 1
+                        if w[p] >= stops[p]:
+                            p -= 1
                             continue
-                        e = t[i] * denoms[i] - centres[i]
-                        remaining = entered[i] - weights[i] * e * e
-                        r = res[i + 1]
+                        e = w[p] * denoms[p] - centres[p]
+                        remaining = entered[p] - weights[p] * e * e
+                        r = res[p - 1]
                         if r >= 0:
-                            if t[i] & 1:
-                                r ^= coords[i]
-                            if r >> rho[i]:
+                            if w[p] & 1:
+                                r ^= coords[p]
+                            if r >> rho[p]:
                                 if shift is None or remaining < shift:
                                     continue
                                 remaining -= shift
                                 r = -1
-                        res[i] = r
-                        i -= 1
-                        break
+                        res[p] = r
+                        child = p + 1
+                        n = sum(map(mul, rows[child], w))
+                        span = integer_interval(n, denoms[child], remaining // weights[child])
+                        lo, stop = span.start, span.stop
+                        if lo < stop:
+                            p = child
+                            break
                     else:
                         break
             start = end
@@ -588,13 +589,12 @@ def _collect_walls(
     even = {square for square, divs in groups.items() if 1 not in divs}
     if nearest is not None:
         nearest = (groups, *nearest)
-    walls: list[WallClass] = []
-    for square, x, res in _SliceContext(picard, g, m).solutions(caps, first, even, nearest):
-        div = _wall_div(x, res, groups[square])
-        if div:
-            walls.append(WallClass(x, picard._to_ambient(x), square, div))
-    walls.sort(key=lambda wall: wall.rho_picard)
-    return walls
+    # hits are distinct, so the walls sort by rho_picard alone
+    return sorted(
+        WallClass(x, picard._to_ambient(x), square, div)
+        for square, x, res in _SliceContext(picard, g, m).solutions(caps, first, even, nearest)
+        if (div := _wall_div(x, res, groups[square]))
+    )
 
 
 def enumerate_walls(query: WallQuery) -> list[WallClass]:

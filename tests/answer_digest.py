@@ -1,6 +1,7 @@
 """One digest of the answers of every public verdict on seeded random cases.
 
     PYTHONPATH=src python tests/answer_digest.py --cases 600 --seed 2024
+    PYTHONPATH=src python tests/answer_digest.py --deep
 
 Each case is a random saturated rank-2..5 lattice from lattice_fixtures
 with g and m of positive square; half the g are made orthogonal to a
@@ -16,6 +17,13 @@ case asks:
 - validate_polarization;
 - slice_solutions at three levels for every target square;
 - level_bound for every target square.
+
+--deep hashes the deep-walk queries instead, the shapes of the ladder and
+capped benchmark workloads: on L(3), L(4) and L(5) (ladder_picard) with
+their ladder polarizations and, at rank 5, the skewed g, it asks
+enumerate_walls, is_ample and nef_threshold with m = (3, 4, 0, ...),
+enumerate_walls at level caps 40 to 400 without and with that m, and
+is_ample on the isotropic class (1, 1, 1, 0, ...).
 
 Every result, or the type and message of the error it raised, goes into
 one sha256 in a version-stable form (enums by value, Fractions as integer
@@ -37,6 +45,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 from lattice_fixtures import (  # noqa: E402
+    ladder_picard,
     orthogonal_polarization,
     random_hyperbolic_picard,
     random_polarized_pair,
@@ -50,6 +59,8 @@ TARGET_SETS = (
     ((-8, 2), (-10, 2)),
     ((-2, 1), (-2, 2)),
 )
+DEEP_G = {3: [(15, 1, 4)], 4: [(8, 2, -3, 6)], 5: [(16, 4, -5, -4, 4), (40, 13, -7, 11, 5)]}
+DEEP_CAPS = (40, 80, 100, 160, 200, 400)
 
 
 def canonical(value):
@@ -116,13 +127,33 @@ def case_calls(rng: random.Random, index: int):
     return head, calls
 
 
-def digest(cases: int, seed: int) -> tuple[int, str]:
-    """(number of answers, sha256 hex digest) over cases seeded cases."""
-    rng = random.Random(seed)
+def deep_case(rank: int, g):
+    """(head, calls) of the deep-walk case (L(rank), g), as case_calls gives them."""
+    pic = ladder_picard(rank)
+    m = (3, 4) + (0,) * (rank - 2)
+    iso = (1, 1, 1) + (0,) * (rank - 3)
+    hw = hyperwall
+
+    def walls(**kwargs):
+        return hw.enumerate_walls(hw.WallQuery(pic, g, **kwargs))
+
+    calls = [
+        ("walls m", lambda: walls(m=m)),
+        ("ample m", lambda: hw.is_ample(pic, g, m)),
+        ("nef g m", lambda: hw.nef_threshold(pic, g, m)),
+        ("ample isotropic", lambda: hw.is_ample(pic, g, iso)),
+    ]
+    for cap in DEEP_CAPS:
+        calls.append((f"walls cap {cap}", lambda c=cap: walls(level_cap=c)))
+        calls.append((f"walls m cap {cap}", lambda c=cap: walls(m=m, level_cap=c)))
+    return (rank, g, m, iso), calls
+
+
+def _hash(cases) -> tuple[int, str]:
+    """(number of answers, sha256 hex digest) over (head, calls) pairs."""
     sha = hashlib.sha256()
     count = 0
-    for index in range(cases):
-        head, calls = case_calls(rng, index)
+    for head, calls in cases:
         sha.update(repr(canonical(head)).encode())
         for name, call in calls:
             sha.update(repr((name, answer(call))).encode())
@@ -130,11 +161,27 @@ def digest(cases: int, seed: int) -> tuple[int, str]:
     return count, sha.hexdigest()
 
 
+def digest(cases: int, seed: int) -> tuple[int, str]:
+    """(number of answers, sha256 hex digest) over cases seeded cases."""
+    rng = random.Random(seed)
+    return _hash(case_calls(rng, index) for index in range(cases))
+
+
+def deep_digest() -> tuple[int, str]:
+    """(number of answers, sha256 hex digest) over the deep-walk queries."""
+    return _hash(deep_case(rank, g) for rank, gs in DEEP_G.items() for g in gs)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--cases", type=int, default=600)
     parser.add_argument("--seed", type=int, default=2024)
+    parser.add_argument("--deep", action="store_true", help="hash the deep-walk queries instead")
     args = parser.parse_args(argv)
+    if args.deep:
+        count, hexdigest = deep_digest()
+        print(f"deep answers {count} sha256 {hexdigest}")
+        return 0
     count, hexdigest = digest(args.cases, args.seed)
     print(f"cases {args.cases} seed {args.seed} answers {count} sha256 {hexdigest}")
     return 0

@@ -1,6 +1,6 @@
 """Smoke test of tests/answer_digest.py, the answer digest used to compare trees."""
 
-from answer_digest import digest, main
+from answer_digest import deep_digest, digest, main
 
 
 def test_two_runs_give_the_same_digest():
@@ -18,3 +18,11 @@ def test_command_line_prints_the_digest(capsys):
 def test_digest_is_pinned():
     """Every answer and error message of 40 seeded cases: any drift fails here."""
     assert digest(40, 2024) == (763, "5204e891632ad310e6f4b834d03c2f8ec6342f6366df2bf40a82023047f0a841")
+
+
+def test_deep_digest_is_pinned(capsys):
+    """Every answer of the deep-walk queries (ladder and capped shapes): any drift fails here."""
+    assert main(["--deep"]) == 0
+    expected = (64, "f164853679db3eaa799f3569740c266efb71c49b52793dd97855e6b9fd6d4daf")
+    assert deep_digest() == expected
+    assert capsys.readouterr().out == f"deep answers {expected[0]} sha256 {expected[1]}\n"

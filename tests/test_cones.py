@@ -309,7 +309,9 @@ class TestNefThreshold:
             nef_threshold(rank2_picard(), (1, 0), (2, 1))
 
     @pytest.mark.parametrize(
-        "m", [(1, 1), (0, 1), (-2, -1), (2, 1, 0)], ids=["isotropic", "negative", "opposite", "malformed"]
+        "m",
+        [(1, 1), (0, 1), (-2, -1), (2, 1, 0), None, 5],
+        ids=["isotropic", "negative", "opposite", "malformed", "none", "not-iterable"],
     )
     def test_polarization_error_comes_before_the_m_error(self, m):
         # h is orthogonal to the wall delta: that is reported, not m

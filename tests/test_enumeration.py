@@ -206,6 +206,31 @@ class TestEnumerateWalls:
         assert wall_keys(enumerate_walls(q_capped)) == [(2, -3)]
 
 
+def assert_clears_the_ldl_data(pic, ctx):
+    """Recompute the LDL data of the context's own kernel test-side
+    (fraction_ldl, fraction_solve): its integers clear it exactly, each
+    level with its smallest denominator, in walk order.  Position p holds
+    level i = nk - p, and its row holds the centre, then the coefficients
+    of t_{nk-1}, ..., t_{i+1}; position 0, the scale, has an empty row,
+    denominator 1 and weight -q_num."""
+    kernel, u, nk = ctx.kernel, ctx.u, len(ctx.kernel)
+    neg_gram = [[-pic.pair(a, b) for b in kernel] for a in kernel]
+    base = [pic.pair(u, b) for b in kernel]
+    dvec, coef = fraction_ldl(neg_gram)
+    p_base = fraction_solve(neg_gram, base)
+    q_base = pic.square(u) + sum(p * b for p, b in zip(p_base, base))
+    assert ctx.q_num == q_base * ctx.q_den and gcd(ctx.q_den, *ctx.weights) == 1
+    assert (ctx.denoms[0], ctx.centre_rows[0], ctx.weights[0]) == (1, [], -ctx.q_num)
+    assert len(ctx.denoms) == len(ctx.centre_rows) == len(ctx.weights) == nk + 1
+    for p in range(1, nk + 1):
+        i = nk - p
+        den, row = ctx.denoms[p], ctx.centre_rows[p]
+        assert ctx.weights[p] * den**2 == dvec[i] * ctx.q_den
+        centre = p_base[i] + sum(coef[i][j] * p_base[j] for j in range(i + 1, nk))
+        assert row == [den * centre] + [-den * coef[i][j] for j in range(nk - 1, i, -1)]
+        assert gcd(den, *row) == 1
+
+
 def one_slice(ctx, k, square):
     """The one-level, one-square call: vectors with (x, g) = k and (x, x) = square, sorted."""
     return sorted(x for _, x, _ in ctx.solutions({square: k}, first=k))
@@ -364,25 +389,13 @@ class TestIntegerKernel:
     def test_context_integers_are_the_cleared_ldl_data(self):
         """Recompute the LDL data of each context test-side (fraction_ldl):
         the integers of the descent clear it exactly, each level with its
-        smallest denominator."""
+        smallest denominator, in walk order."""
         rng = random.Random(5)
         for rank in (2, 3, 4, 5) * 3:
             pic = random_hyperbolic_picard(rng, rank)
             g, m = random_polarized_pair(rng, pic)
             for ctx in (_SliceContext(pic, g), _SliceContext(pic, g, m)):
-                kernel, u, nk = ctx.kernel, ctx.u, len(ctx.kernel)
-                neg_gram = [[-pic.pair(a, b) for b in kernel] for a in kernel]
-                base = [pic.pair(u, b) for b in kernel]
-                dvec, coef = fraction_ldl(neg_gram)
-                p_base = fraction_solve(neg_gram, base)
-                q_base = pic.square(u) + sum(p * b for p, b in zip(p_base, base))
-                assert ctx.q_num == q_base * ctx.q_den
-                for i in range(nk):
-                    den, row = ctx.denoms[i], ctx.centre_rows[i]
-                    assert ctx.weights[i] * den**2 == dvec[i] * ctx.q_den
-                    centre = p_base[i] + sum(coef[i][j] * p_base[j] for j in range(i + 1, nk))
-                    assert row == [-den * c for c in coef[i]] + [den * centre]
-                    assert gcd(den, *row) == 1
+                assert_clears_the_ldl_data(pic, ctx)
 
     def test_rider_slice_equals_the_combined_bases(self, monkeypatch):
         """The m-slice from one column reduction, the kernel rows riding along
@@ -420,34 +433,25 @@ class TestIntegerKernel:
         g = (1,) if rank == 1 else random_polarized_pair(rng, pic)[0]
         for m in (None, g, tuple(3 * c for c in g)):
             ctx = _SliceContext(pic, g, m)
-            kernel, u, nk = ctx.kernel, ctx.u, len(ctx.kernel)
-            assert ctx.m_step == 0 and nk == rank - 1
-            neg_gram = [[-pic.pair(a, b) for b in kernel] for a in kernel]
-            base = [pic.pair(u, b) for b in kernel]
-            dvec, coef = fraction_ldl(neg_gram)
-            p_base = fraction_solve(neg_gram, base)
-            q_base = pic.square(u) + sum(p * b for p, b in zip(p_base, base))
-            assert ctx.q_num == q_base * ctx.q_den and gcd(ctx.q_den, ctx.q_num, *ctx.weights) == 1
-            for i in range(nk):
-                den, row = ctx.denoms[i], ctx.centre_rows[i]
-                assert ctx.weights[i] * den**2 == dvec[i] * ctx.q_den
-                centre = p_base[i] + sum(coef[i][j] * p_base[j] for j in range(i + 1, nk))
-                assert row == [-den * c for c in coef[i]] + [den * centre]
-                assert gcd(den, *row) == 1
+            assert ctx.m_step == 0 and len(ctx.kernel) == rank - 1
+            assert_clears_the_ldl_data(pic, ctx)
 
     @pytest.mark.parametrize(
-        "g,m,level_cap,most",
+        "rank,g,m,level_cap,nodes",
         [
-            # capped L(5): 7,036 interval calls on the unreduced kernel basis
-            ((16, 4, -5, -4, 4), None, 160, 3518),
+            # capped L(5): 7,036 interval calls on the unreduced kernel basis,
+            # 1,457 with one walk per level and target square
+            (5, (16, 4, -5, -4, 4), None, 160, 691),
             # skewed g: 2,910 on the unreduced basis
-            ((40, 13, -7, 11, 5), (3, 4, 0, 0, 0), None, 2909),
-            # capped L(5) again, every level and target square in one walk:
-            # 1,457 calls with one walk per level and square
-            ((16, 4, -5, -4, 4), None, 160, 999),
+            (5, (40, 13, -7, 11, 5), (3, 4, 0, 0, 0), None, 1054),
+            (3, (15, 1, 4), (3, 4, 0), None, 127),
+            (4, (8, 2, -3, 6), (3, 4, 0, 0), None, 101),
         ],
+        ids=["capped-L5", "skewed-L5", "ladder-L3", "ladder-L4"],
     )
-    def test_reduced_kernel_descent_node_count(self, monkeypatch, g, m, level_cap, most):
+    def test_reduced_kernel_descent_node_count(self, monkeypatch, rank, g, m, level_cap, nodes):
+        """The walk visits the same tree, node for node: one integer_interval
+        call per node of level >= 1."""
         calls = 0
         interval = enumeration.integer_interval
 
@@ -457,9 +461,9 @@ class TestIntegerKernel:
             return interval(*args)
 
         monkeypatch.setattr(enumeration, "integer_interval", counted)
-        walls = enumerate_walls(WallQuery(ladder_picard(5), g, m=m, level_cap=level_cap))
+        walls = enumerate_walls(WallQuery(ladder_picard(rank), g, m=m, level_cap=level_cap))
         assert walls
-        assert calls <= most
+        assert calls == nodes
 
 
     def test_odd_hits_on_even_squares_never_leave_the_walk(self, monkeypatch):
@@ -518,10 +522,10 @@ class TestLevelZeroContext:
     all validate_polarization asks for."""
 
     def test_integers_clear_the_ldl_data_with_no_centre(self):
-        """The centre aside (the last entry of each centre row, the one that
-        multiplies the scale), the weights and rows clear the Bareiss
-        integers of ldl_positive on the context's own kernel: a walk of
-        scale 0 reads the factor alone."""
+        """The centre aside (the first entry of each walk-ordered centre row,
+        the one that multiplies the scale), the weights and rows clear the
+        Bareiss integers of ldl_positive on the context's own kernel: a walk
+        of scale 0 reads the factor alone."""
         rng = random.Random(17)
         cases = [(PicardLattice([H]), (1,), None)]
         for rank in (2, 3, 4, 5) * 3:
@@ -533,12 +537,13 @@ class TestLevelZeroContext:
                 kernel, nk = ctx.kernel, len(ctx.kernel)
                 scale, minors, rows = ldl_positive([[-pic.pair(a, b) for b in kernel] for a in kernel])
                 assert len(rows) == nk and gcd(ctx.q_den, ctx.q_num, *ctx.weights) == 1
-                for i in range(nk):
-                    den, row = ctx.denoms[i], ctx.centre_rows[i]
+                for p in range(1, nk + 1):
+                    # position p holds level i; its row reads the scale, then t_{nk-1}, ..., t_{i+1}
+                    i, den, row = nk - p, ctx.denoms[p], ctx.centre_rows[p]
                     # d_i = D_{i+1}/(D_i * scale); row i of the LDL coefficients is rows[i]/D_{i+1}
-                    assert ctx.weights[i] * den**2 * minors[i] * scale == minors[i + 1] * ctx.q_den
-                    coef = [0] * (i + 1) + [Fraction(c, minors[i + 1]) for c in rows[i]]
-                    assert row[:nk] == [-den * c for c in coef]
+                    assert ctx.weights[p] * den**2 * minors[i] * scale == minors[i + 1] * ctx.q_den
+                    coef = [Fraction(c, minors[i + 1]) for c in rows[i]]
+                    assert row[1:] == [-den * c for c in reversed(coef)]
                     assert gcd(den, *row) == 1
 
     def test_only_scale_zero_is_walked(self, monkeypatch):

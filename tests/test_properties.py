@@ -28,6 +28,8 @@ from hyperwall.enumeration import DEFAULT_TARGETS, _SliceContext, _target_groups
 from lattice_fixtures import (
     PRUNING_TARGETS,
     cofactor_det,
+    fraction_ldl,
+    fraction_solve,
     orthogonal_polarization,
     random_hyperbolic_picard,
     random_polarized_pair,
@@ -213,6 +215,37 @@ class TestEvenSquares:
             assert (res == 0) == even_div(x)
 
 
+class TestWalkOrder:
+    """The walk-ordered context data against the level-ordered layout it
+    replaced: coordinates t = (t_0, ..., t_{nk-1}, scale), centre row i
+    padded with zeros in the columns j <= i and the centre last."""
+
+    @PROPERTY_SETTINGS
+    @given(st.integers(min_value=1, max_value=5), seeds, st.booleans(), st.data())
+    def test_trimmed_rows_equal_the_padded_rows(self, rank, seed, with_m, data):
+        rng = random.Random(seed)
+        pic = random_hyperbolic_picard(rng, rank)
+        g, m = ((1,), None) if rank == 1 else random_polarized_pair(rng, pic)
+        ctx = _SliceContext(pic, g, m if with_m else None)
+        kernel, u, nk = ctx.kernel, ctx.u, len(ctx.kernel)
+        neg_gram = [[-pic.pair(a, b) for b in kernel] for a in kernel]
+        base = [pic.pair(u, b) for b in kernel]
+        _, coef = fraction_ldl(neg_gram)
+        p_base = fraction_solve(neg_gram, base)
+        t = data.draw(st.lists(st.integers(-50, 50), min_size=nk + 1, max_size=nk + 1))
+        w = t[::-1]  # (scale, t_{nk-1}, ..., t_0)
+        for i in range(nk):
+            den = ctx.denoms[nk - i]
+            centre = p_base[i] + sum(coef[i][j] * p_base[j] for j in range(i + 1, nk))
+            padded = [0] * (i + 1) + [-den * c for c in coef[i][i + 1:]] + [den * centre]
+            trimmed = ctx.centre_rows[nk - i]
+            assert len(trimmed) == nk - i
+            assert sum(a * b for a, b in zip(trimmed, w)) == sum(a * b for a, b in zip(padded, t))
+        # x = columns . w is the vector sum_j t_j kernel_j + scale*u
+        x = [sum(c * b for c, b in zip(col, w)) for col in ctx.columns]
+        assert x == [sum(c * row[a] for c, row in zip(t, [*kernel, u])) for a in range(rank)]
+
+
 class TestParityPruning:
     """The GF(2) residue test at each descent node against brute force."""
 
@@ -228,7 +261,8 @@ class TestParityPruning:
         ctx = _SliceContext(pic, g, m if with_m else None)
         coords, rho = ctx._parity()
         nk = len(ctx.kernel)
-        assert nk <= 4 and rho[0] == 0
+        # walk order: position p holds level nk - p, the scale at 0
+        assert nk <= 4 and rho[nk] == 0 and coords[nk + 1] == 0
         columns = [*ctx.kernel, ctx.u]
 
         def even(bits):
@@ -242,9 +276,9 @@ class TestParityPruning:
                 residue = 0
                 for j, bit in enumerate(fixed, start=i):
                     if bit:
-                        residue ^= coords[j]
+                        residue ^= coords[nk - j]
                 completes = any(even(free + fixed) for free in itertools.product((0, 1), repeat=i))
-                assert (residue >> rho[i] == 0) == completes
+                assert (residue >> rho[nk - i] == 0) == completes
 
     @PROPERTY_SETTINGS
     @given(st.integers(min_value=2, max_value=5), seeds, st.sampled_from(PRUNING_TARGETS), st.booleans())
