@@ -18,8 +18,8 @@ from .enumeration import (
     WallClass,
     WallQuery,
     _collect_walls,
+    _dot,
     _level_cap,
-    _target_groups,
     _validate_targets,
     enumerate_walls,
 )
@@ -118,20 +118,22 @@ def detect_isotropic_boundary(picard: PicardLattice, m) -> bool:
 def _read_targets(targets):
     """A one-shot iterable of targets read once into a tuple, since callers
     read the targets more than once; an empty one is left for
-    _validate_targets to reject."""
-    return tuple(targets) if targets else targets
+    _validate_targets to reject, and DEFAULT_TARGETS is kept as the same
+    object, which _validate_targets knows by identity."""
+    return targets if targets is DEFAULT_TARGETS or not targets else tuple(targets)
 
 
-def _checked_polarization(picard: PicardLattice, g, targets) -> tuple[tuple[int, ...], dict]:
-    """validate_polarization's checks before its walk, in its order;
-    returns g as a tuple and the target groups."""
-    _validate_targets(targets)
+def _checked_polarization(picard: PicardLattice, g, targets) -> tuple[tuple[int, ...], int, dict]:
+    """validate_polarization's checks before its walk, in its order; returns
+    g's Gram form (gram_times validates g), (g, g) and the target groups."""
+    groups = _validate_targets(targets)
     if not picard.is_hyperbolic():
         raise ValueError("Picard lattice must have signature (1, rank-1)")
-    coords = tuple(g)
-    if picard.square(coords) <= 0:
+    w_g = picard.gram_times(g)
+    gg = _dot(g, w_g)
+    if gg <= 0:
         raise PreconditionError("g is not ample: (g, g) <= 0")
-    return coords, _target_groups(targets)
+    return w_g, gg, groups
 
 
 def _raise_orthogonal(walls, groups) -> None:
@@ -158,9 +160,8 @@ def validate_polarization(picard: PicardLattice, g, targets=DEFAULT_TARGETS) -> 
     target, which is a finite negative definite problem.  The targets are
     checked first, so bad targets raise ValueError before any verdict.
     """
-    targets = _read_targets(targets)
-    coords, groups = _checked_polarization(picard, g, targets)
-    _raise_orthogonal(_collect_walls(picard, coords, None, groups, dict.fromkeys(groups, 0), first=0), groups)
+    w_g, _, groups = _checked_polarization(picard, g, _read_targets(targets))
+    _raise_orthogonal(_collect_walls(picard, w_g, None, groups, dict.fromkeys(groups, 0), first=0), groups)
 
 
 def _isotropic_level_cap(square: int, p: int, v: int) -> int:
@@ -182,25 +183,23 @@ def is_ample(picard: PicardLattice, g, m, targets=DEFAULT_TARGETS) -> AmpleVerdi
     verdict is exact; the orthogonal witnesses reported in that case are
     the finitely many found below the same cap.
     """
-    gcoords = tuple(g)
     targets = _read_targets(targets)
-    validate_polarization(picard, gcoords, targets)
-    coords = tuple(m)
-    mm = picard.square(coords)
-    mg = picard._pair(coords, gcoords)
+    validate_polarization(picard, g, targets)
+    w_m = picard.gram_times(m)
+    mm, mg = _dot(m, w_m), _dot(g, w_m)
     if mm < 0 or mg <= 0:
         return AmpleVerdict(AmpleStatus.NOT_POSITIVE, (), False)
     if mm == 0:
         # WallQuery demands (m, m) > 0; the isotropic m still slices the
         # descent, so the walls are collected directly under their caps.
-        gg = picard._pair(gcoords, gcoords)
-        groups = _target_groups(targets)
+        w_g = picard._gram_times(g)
+        gg = _dot(g, w_g)
+        groups = _validate_targets(targets)
         caps = {square: _isotropic_level_cap(square, mg, gg) for square in groups}
-        witnesses = _collect_walls(picard, gcoords, coords, groups, caps)
+        witnesses = _collect_walls(picard, w_g, w_m, groups, caps)
     else:
-        query = WallQuery(picard, gcoords, m=coords, targets=targets)
-        witnesses = enumerate_walls(query)
-    if any(picard._pair(w.rho_picard, coords) < 0 for w in witnesses):
+        witnesses = enumerate_walls(WallQuery(picard, g, m=m, targets=targets))
+    if any(_dot(w.rho_picard, w_m) < 0 for w in witnesses):
         return AmpleVerdict(AmpleStatus.NOT_NEF, tuple(witnesses), False)
     if witnesses:
         return AmpleVerdict(AmpleStatus.NEF_BOUNDARY, tuple(witnesses), mm == 0)
@@ -228,32 +227,27 @@ def nef_threshold(
     which starts at level 0; an m of non-positive square or pairing with
     g is rejected after every check of g.
     """
-    gcoords = tuple(g)
     targets = _read_targets(targets)
-    _, groups = _checked_polarization(picard, gcoords, targets)
+    w_g, gg, groups = _checked_polarization(picard, g, targets)
     # an m error comes after every error of g, the walk's included
     try:
-        coords = tuple(m)
-        mm, gm = picard.square(coords), picard._pair(coords, gcoords)
-    except (TypeError, ValueError):
-        validate_polarization(picard, gcoords, targets)
+        w_m = picard.gram_times(m)
+    except ValueError:
+        validate_polarization(picard, g, targets)
         raise
+    mm, gm = _dot(m, w_m), _dot(g, w_m)
     if mm <= 0 or gm <= 0:
-        validate_polarization(picard, gcoords, targets)
+        validate_polarization(picard, g, targets)
         if mm <= 0:
             raise PreconditionError("nef_threshold requires (m, m) > 0")
         raise PreconditionError("nef_threshold requires (m, g) > 0")
-    gg = picard._pair(gcoords, gcoords)
     caps = {square: _level_cap(square, gg, mm, gm) for square in groups}
-    walls = _collect_walls(picard, gcoords, coords, groups, caps, first=0, nearest=(gg, mm, gm))
-    _raise_orthogonal([w for w in walls if not picard._pair(w.rho_picard, gcoords)], groups)
+    walls = _collect_walls(picard, w_g, w_m, groups, caps, first=0, nearest=(gg, mm, gm))
+    _raise_orthogonal([w for w in walls if not _dot(w.rho_picard, w_g)], groups)
     if not walls:
         return Fraction(1), ()
-    crossings = []
-    for wall in walls:
-        pg = picard._pair(wall.rho_picard, gcoords)
-        pm = picard._pair(wall.rho_picard, coords)
-        crossings.append((Fraction(pg, pg - pm), wall))
+    pairings = [(_dot(w.rho_picard, w_g), _dot(w.rho_picard, w_m), w) for w in walls]
+    crossings = [(Fraction(pg, pg - pm), w) for pg, pm, w in pairings]
     tau = min(t for t, _ in crossings)
     achieving = tuple(w for t, w in crossings if t == tau)
     return tau, achieving

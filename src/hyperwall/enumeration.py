@@ -63,6 +63,7 @@ from __future__ import annotations
 
 import itertools
 from collections import namedtuple
+from collections.abc import Sequence
 from math import gcd, isqrt, lcm
 from operator import mul
 
@@ -90,19 +91,16 @@ class WallClass(namedtuple("WallClass", "rho_picard rho_ambient square div")):
 
 
 class WallQuery(namedtuple("WallQuery", "picard g m targets level_cap")):
-    """An enumeration request; g, m and targets are stored as tuples."""
+    """An enumeration request; g, m and targets are stored as tuples (a g or
+    m that is not a Sequence is kept, for enumerate_walls to reject)."""
 
     __slots__ = ()
 
     def __new__(cls, picard, g, m=None, targets=DEFAULT_TARGETS, level_cap=None):
-        return super().__new__(
-            cls,
-            picard,
-            tuple(g),
-            None if m is None else tuple(m),
-            tuple((s, d) for s, d in targets),
-            level_cap,
-        )
+        g, m = (tuple(v) if isinstance(v, Sequence) else v for v in (g, m))
+        if targets is not DEFAULT_TARGETS:  # the defaults are known by identity
+            targets = tuple((s, d) for s, d in targets)
+        return super().__new__(cls, picard, g, m, targets, level_cap)
 
     @classmethod
     def _make(cls, iterable):
@@ -114,42 +112,49 @@ def _plain_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-def _positive_cone(picard: PicardLattice, g, m=None) -> tuple[int, int | None, int | None]:
-    """Check (g, g) > 0, then (m, m) > 0, then (g, m) > 0; return the three.
+def _positive_cone(picard: PicardLattice, g, m=None) -> tuple[tuple, tuple]:
+    """Check (g, g) > 0, then (m, m) > 0, then (g, m) > 0; return
+    ((w_g, w_m), ((g, g), (m, m), (g, m))), None for m's entries without m.
 
-    The public entries' one check of g and m (gram_times validates each
-    vector); without m the last two are None.
+    The public entries' one check of g and m: gram_times validates each and
+    gives its Gram form w = G*x, the call's one product with it.
     """
-    g_gram = picard.gram_times(g)
-    gg = _dot(g, g_gram)
+    w_g = picard.gram_times(g)
+    gg = _dot(g, w_g)
     if gg <= 0:
         raise ValueError("g must lie in the positive cone: (g, g) > 0 required")
     if m is None:
-        return gg, None, None
-    m_gram = picard.gram_times(m)
-    mm = _dot(m, m_gram)
+        return (w_g, None), (gg, None, None)
+    w_m = picard.gram_times(m)
+    mm = _dot(m, w_m)
     if mm <= 0:
         raise ValueError("m must lie in the positive cone: (m, m) > 0 required")
-    gm = _dot(g, m_gram)
+    gm = _dot(g, w_m)
     if gm <= 0:
         raise ValueError("m must lie in the same component of the positive cone as g")
-    return gg, mm, gm
+    return (w_g, w_m), (gg, mm, gm)
 
 
-def _validate_query(q: WallQuery) -> tuple[int, int | None, int | None]:
+def _validate_query(q: WallQuery) -> tuple[tuple, tuple, dict[int, frozenset[int]]]:
+    """_positive_cone's forms and pairings, and the target groups."""
     if not q.picard.is_hyperbolic():
         raise ValueError("Picard lattice must have signature (1, rank-1)")
-    pairings = _positive_cone(q.picard, q.g, q.m)
-    _validate_targets(q.targets)
+    forms, pairings = _positive_cone(q.picard, q.g, q.m)
+    groups = _validate_targets(q.targets)
     if q.level_cap is not None:
         if not _plain_int(q.level_cap):
             raise ValueError("level_cap must be a plain integer")
         if q.level_cap < 0:
             raise ValueError("level_cap must be nonnegative")
-    return pairings
+    return forms, pairings, groups
 
 
-def _validate_targets(targets) -> None:
+def _validate_targets(targets) -> dict[int, frozenset[int]]:
+    """Check the targets and return _target_groups of them.  The defaults
+    were checked and grouped at import and are known by identity: equal
+    targets in another object (True == 1) get every check."""
+    if targets is DEFAULT_TARGETS:
+        return _DEFAULT_GROUPS
     if not targets:
         raise ValueError("at least one (square, div) target is required")
     for square, div in targets:
@@ -159,6 +164,7 @@ def _validate_targets(targets) -> None:
             raise ValueError("wall targets must have negative square")
         if div not in (1, 2):
             raise ValueError("wall divisibility targets must be 1 or 2")
+    return _target_groups(targets)
 
 
 def _target_groups(targets) -> dict[int, frozenset[int]]:
@@ -166,6 +172,9 @@ def _target_groups(targets) -> dict[int, frozenset[int]]:
     for square, div in targets:
         groups.setdefault(square, set()).add(div)
     return {s: frozenset(d) for s, d in groups.items()}
+
+
+_DEFAULT_GROUPS = _validate_targets(list(DEFAULT_TARGETS))  # shared: never mutate it
 
 
 def level_bound(picard: PicardLattice, g, m, square: int) -> int:
@@ -182,7 +191,7 @@ def level_bound(picard: PicardLattice, g, m, square: int) -> int:
         raise ValueError("square must be a plain integer")
     if not picard.is_hyperbolic():
         raise ValueError("Picard lattice must have signature (1, rank-1)")
-    return _level_cap(square, *_positive_cone(picard, g, m))
+    return _level_cap(square, *_positive_cone(picard, g, m)[1])
 
 
 def _level_cap(square: int, gg: int, mm: int, gm: int) -> int:
@@ -219,7 +228,8 @@ def _readout(x, masks) -> int:
 
 
 class _SliceContext:
-    """Shared slice data for a fixed (picard, g), optionally sliced along m.
+    """Shared slice data for a fixed (picard, g), optionally sliced along m,
+    built from their Gram forms w_g = G*g and w_m = G*m.
 
     An integral change of basis splits Z^r as Z*u + kernel with
     (x, g) = d on u and 0 on the kernel; the negated kernel Gram is
@@ -261,14 +271,12 @@ class _SliceContext:
     tests level 0 exactly for each square, its offset taken off.
     """
 
-    def __init__(self, picard: PicardLattice, g, m=None):
+    def __init__(self, picard: PicardLattice, w_g, w_m=None):
         self.picard = picard
-        w = picard._gram_times(g)
-        self.d, self.u, self.kernel = linear_form_basis(w)
+        self.d, self.u, self.kernel = linear_form_basis(w_g)
         self.m_step = self.u_m = 0
-        if m is not None:
-            wm = picard._gram_times(m)
-            restricted = [_dot(b, wm) for b in self.kernel]
+        if w_m is not None:
+            restricted = [_dot(b, w_m) for b in self.kernel]
             # m proportional to g leaves (., m) zero on the kernel: no slice
             if any(restricted):
                 # the kernel rows ride along as columns: the pivot column is
@@ -276,7 +284,7 @@ class _SliceContext:
                 (self.m_step, *_), *riders = column_reduce([restricted], zip(*self.kernel))
                 c_m, *rest = map(list, zip(*riders))
                 self.kernel = rest + [c_m]
-                self.u_m = _dot(self.u, wm)
+                self.u_m = _dot(self.u, w_m)
         nk = len(self.kernel)
         # c_m stays last and unreduced, so u_m, m_step and the clip hold
         free = nk - 1 if self.m_step else nk
@@ -561,19 +569,19 @@ def slice_solutions(picard: PicardLattice, g, k: int, square: int) -> list[tuple
         raise ValueError("slice level k and square must be plain integers")
     if k < 1:
         raise ValueError("slice level k must be at least 1")
-    g = tuple(g)
-    _positive_cone(picard, g)
-    return sorted(x for _, x, _ in _SliceContext(picard, g).solutions({square: k}, first=k))
+    (w_g, _), _ = _positive_cone(picard, g)
+    return sorted(x for _, x, _ in _SliceContext(picard, w_g).solutions({square: k}, first=k))
 
 
 def _collect_walls(
-    picard: PicardLattice, g, m, groups, caps, first: int = 1, nearest=None
+    picard: PicardLattice, w_g, w_m, groups, caps, first: int = 1, nearest=None
 ) -> list[WallClass]:
     """Primitive walls with first <= (rho, g) <= caps[square], sorted.
 
     The package's one wall filter, for already checked input: caps maps
     each target square to its largest level (rho, g), groups maps it to
-    the admissible divisibilities.  With m the context's clip keeps only
+    the admissible divisibilities.  g and m come as their Gram forms w_g
+    and w_m (w_m may be None).  With m the context's clip keeps only
     (rho, m) <= 0; m needs no positive square here, only (m, g) > 0, so an
     isotropic m slices the descent as well.  first=0 adds the walls
     orthogonal to g (with m, one of each +-rho pair), also with nearest =
@@ -583,7 +591,7 @@ def _collect_walls(
     read from its parity residue (_wall_div).  A walk that reaches no
     scale (no multiple of gcd((g, .)) in [first, max caps]) builds none.
     """
-    d = gcd(*picard._gram_times(g))
+    d = gcd(*w_g)
     if max(caps.values()) // d < -(-first // d):
         return []
     even = {square for square, divs in groups.items() if 1 not in divs}
@@ -592,7 +600,7 @@ def _collect_walls(
     # hits are distinct, so the walls sort by rho_picard alone
     return sorted(
         WallClass(x, picard._to_ambient(x), square, div)
-        for square, x, res in _SliceContext(picard, g, m).solutions(caps, first, even, nearest)
+        for square, x, res in _SliceContext(picard, w_g, w_m).solutions(caps, first, even, nearest)
         if (div := _wall_div(x, res, groups[square]))
     )
 
@@ -605,19 +613,18 @@ def enumerate_walls(query: WallQuery) -> list[WallClass]:
     level_cap is required, and the result is then complete up to
     (rho, g) <= level_cap.
     """
-    pairings = _validate_query(query)
+    (w_g, w_m), pairings, groups = _validate_query(query)
     cap = query.level_cap
     if query.m is None and cap is None:
         raise ValueError(
             "the wall set is only finite against a second positive class: "
             "supply m or an explicit level_cap"
         )
-    groups = _target_groups(query.targets)
     caps = {}
     for square in groups:
         bound = cap if query.m is None else _level_cap(square, *pairings)
         caps[square] = bound if cap is None else min(bound, cap)
-    return _collect_walls(query.picard, query.g, query.m, groups, caps)
+    return _collect_walls(query.picard, w_g, w_m, groups, caps)
 
 
 def _python_scan(picard, g, m, cap, box, squares) -> list[tuple[int, ...]]:
@@ -683,17 +690,15 @@ def brute_force_walls(query: WallQuery, box: int) -> list[WallClass]:
     through a vectorized int64 path; an overflow guard falls back to pure
     Python.
     """
-    _validate_query(query)
+    (w_g, w_m), _, groups = _validate_query(query)
     if box <= 0:
         return []
     picard = query.picard
-    groups = _target_groups(query.targets)
     squares = frozenset(groups)
     cap = query.level_cap
     bound = box * box * sum(abs(e) for row in picard.gram for e in row)
-    bound = max(bound, box * sum(abs(x) for x in picard.gram_times(query.g)))
-    if query.m is not None:
-        bound = max(bound, box * sum(abs(x) for x in picard.gram_times(query.m)))
+    for w in (w_g, w_m or ()):
+        bound = max(bound, box * sum(map(abs, w)))
     side = 2 * box + 1
     if side**picard.rank <= 200_000 or bound >= 2**62:
         candidates = _python_scan(picard, query.g, query.m, cap, box, squares)

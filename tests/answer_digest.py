@@ -2,6 +2,7 @@
 
     PYTHONPATH=src python tests/answer_digest.py --cases 600 --seed 2024
     PYTHONPATH=src python tests/answer_digest.py --deep
+    PYTHONPATH=src python tests/answer_digest.py --errors
 
 Each case is a random saturated rank-2..5 lattice from lattice_fixtures
 with g and m of positive square; half the g are made orthogonal to a
@@ -25,6 +26,13 @@ enumerate_walls, is_ample and nef_threshold with m = (3, 4, 0, ...),
 enumerate_walls at level caps 40 to 400 without and with that m, and
 is_ample on the isotropic class (1, 1, 1, 0, ...).
 
+--errors hashes the error contract instead: every public entry that takes
+g, m or targets, run on a fixed matrix of malformed inputs on L(3).  The
+inputs are a non-iterable g or m (None, 5), a wrong length, bool, float
+and Fraction entries, bad targets, a non-hyperbolic lattice, g or m
+outside the positive cone and g on a wall, one at a time and in a few
+pairs that pin the order of the checks.
+
 Every result, or the type and message of the error it raised, goes into
 one sha256 in a version-stable form (enums by value, Fractions as integer
 pairs).  Two trees give the same digest when they give the same answers
@@ -45,6 +53,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 from lattice_fixtures import (  # noqa: E402
+    H,
     ladder_picard,
     orthogonal_polarization,
     random_hyperbolic_picard,
@@ -149,6 +158,72 @@ def deep_case(rank: int, g):
     return (rank, g, m, iso), calls
 
 
+def error_calls():
+    """The (name, call) pairs of the error matrix, entry by entry."""
+    hw = hyperwall
+    pic, g, m = ladder_picard(3), DEEP_G[3][0], (3, 4, 0)
+    flat = hw.PicardLattice([H, hw.vector_from_labels({"e2": 1, "f2": 1})])
+    entries = {
+        "enumerate_walls": lambda p, g, m, t: hw.enumerate_walls(hw.WallQuery(p, g, m=m, targets=t)),
+        "enumerate_walls cap": lambda p, g, m, t: hw.enumerate_walls(hw.WallQuery(p, g, targets=t, level_cap=4)),
+        "brute_force_walls": lambda p, g, m, t: hw.brute_force_walls(hw.WallQuery(p, g, m=m, targets=t), 2),
+        "level_bound": lambda p, g, m, t: hw.level_bound(p, g, m, -2),
+        "slice_solutions": lambda p, g, m, t: hw.slice_solutions(p, g, 2, -2),
+        "validate_polarization": lambda p, g, m, t: hw.validate_polarization(p, g, t),
+        "is_ample": lambda p, g, m, t: hw.is_ample(p, g, m, t),
+        "nef_threshold": lambda p, g, m, t: hw.nef_threshold(p, g, m, t),
+    }
+    vectors = {
+        "None": lambda v: None,
+        "int": lambda v: 5,
+        "wrong length": lambda v: v[:2],
+        "bool": lambda v: (True,) + v[1:],
+        "float": lambda v: (float(v[0]),) + v[1:],
+        "Fraction": lambda v: (Fraction(v[0]),) + v[1:],
+    }
+    inputs = {"valid": (pic, g, m, hw.DEFAULT_TARGETS)}
+    for kind, bad in vectors.items():
+        inputs[f"g {kind}"] = (pic, bad(g), m, hw.DEFAULT_TARGETS)
+        inputs[f"m {kind}"] = (pic, g, bad(m), hw.DEFAULT_TARGETS)
+    bad_targets = {
+        "empty": (),
+        "square 0": ((0, 1),),
+        "div 3": ((-2, 3),),
+        "bool div": ((-2, True), (-2, 2), (-10, 2)),
+        "float square": ((-2.0, 1), (-2, 2), (-10, 2)),
+        "Fraction square": ((Fraction(-2), 1),),
+    }
+    for kind, targets in bad_targets.items():
+        inputs[f"targets {kind}"] = (pic, g, m, targets)
+    on_wall = (1, 0, 0)  # orthogonal to delta = (0, 1, 0)
+    inputs.update({
+        "non-hyperbolic": (flat, (1, 0), (1, 0), hw.DEFAULT_TARGETS),
+        "g zero": (pic, (0, 0, 0), m, hw.DEFAULT_TARGETS),
+        "g negative square": (pic, (0, 1, 0), m, hw.DEFAULT_TARGETS),
+        "m negative square": (pic, g, (0, 1, 0), hw.DEFAULT_TARGETS),
+        "m opposite": (pic, g, tuple(-c for c in m), hw.DEFAULT_TARGETS),
+        "m isotropic": (pic, g, (1, 1, 1), hw.DEFAULT_TARGETS),
+        "g on a wall": (pic, on_wall, m, hw.DEFAULT_TARGETS),
+        # pairs: the first check to fail names the error
+        "g on a wall, m None": (pic, on_wall, None, hw.DEFAULT_TARGETS),
+        "g on a wall, m opposite": (pic, on_wall, (-3, -4, 0), hw.DEFAULT_TARGETS),
+        "g None, m None": (pic, None, None, hw.DEFAULT_TARGETS),
+        "bad targets, g None": (pic, None, m, ((-2, 3),)),
+        "non-hyperbolic, g None": (flat, None, (1, 0), hw.DEFAULT_TARGETS),
+        "g negative square, m int": (pic, (0, 1, 0), 5, hw.DEFAULT_TARGETS),
+    })
+    return [
+        (f"{entry}: {label}", lambda run=run, args=args: run(*args))
+        for entry, run in entries.items()
+        for label, args in inputs.items()
+    ]
+
+
+def error_digest() -> tuple[int, str]:
+    """(number of answers, sha256 hex digest) over the error matrix."""
+    return _hash([("errors", error_calls())])
+
+
 def _hash(cases) -> tuple[int, str]:
     """(number of answers, sha256 hex digest) over (head, calls) pairs."""
     sha = hashlib.sha256()
@@ -177,7 +252,12 @@ def main(argv=None) -> int:
     parser.add_argument("--cases", type=int, default=600)
     parser.add_argument("--seed", type=int, default=2024)
     parser.add_argument("--deep", action="store_true", help="hash the deep-walk queries instead")
+    parser.add_argument("--errors", action="store_true", help="hash the error matrix instead")
     args = parser.parse_args(argv)
+    if args.errors:
+        count, hexdigest = error_digest()
+        print(f"errors answers {count} sha256 {hexdigest}")
+        return 0
     if args.deep:
         count, hexdigest = deep_digest()
         print(f"deep answers {count} sha256 {hexdigest}")

@@ -19,6 +19,11 @@ LAMBDA_PLANE = vector_from_labels({"e1": 2, "f1": 2, "delta": 3})
 FIXTURE_G = (3, -1)
 
 
+def slice_context(pic, g, m=None) -> _SliceContext:
+    """The slice context of (pic, g, m), built from the Gram forms of g and m."""
+    return _SliceContext(pic, pic.gram_times(g), None if m is None else pic.gram_times(m))
+
+
 def rank2_picard() -> PicardLattice:
     return PicardLattice([H, DELTA])
 
@@ -209,7 +214,7 @@ def unpruned_walls(pic, g, m, targets, level_cap=None):
         bound = level_cap if m is None else level_bound(pic, g, m, square)
         caps[square] = bound if level_cap is None else min(bound, level_cap)
     walls = []
-    for square, x, _ in _SliceContext(pic, g, m).solutions(caps, 1, frozenset()):
+    for square, x, _ in slice_context(pic, g, m).solutions(caps, 1, frozenset()):
         ambient = pic.to_ambient(x)
         div = divisibility(ambient)
         if gcd(*ambient) == 1 and div in groups[square]:

@@ -1,6 +1,6 @@
 """Smoke test of tests/answer_digest.py, the answer digest used to compare trees."""
 
-from answer_digest import deep_digest, digest, main
+from answer_digest import deep_digest, digest, error_digest, main
 
 
 def test_two_runs_give_the_same_digest():
@@ -26,3 +26,12 @@ def test_deep_digest_is_pinned(capsys):
     expected = (64, "f164853679db3eaa799f3569740c266efb71c49b52793dd97855e6b9fd6d4daf")
     assert deep_digest() == expected
     assert capsys.readouterr().out == f"deep answers {expected[0]} sha256 {expected[1]}\n"
+
+
+def test_error_digest_is_pinned(capsys):
+    """Every error type and message of the malformed-input matrix: a changed
+    error, or a changed order of the checks, fails here."""
+    assert main(["--errors"]) == 0
+    expected = (256, "556649ba5f523abd2d297a16b1559f9584ad4b9964c6d2fd6d2bb9f006f3baea")
+    assert error_digest() == expected
+    assert capsys.readouterr().out == f"errors answers {expected[0]} sha256 {expected[1]}\n"

@@ -22,6 +22,7 @@ from hyperwall import (
     validate_polarization,
     vector_from_labels,
 )
+from hyperwall import enumeration
 from hyperwall import lattice as lattice_module
 from lattice_fixtures import DELTA, FIXTURE_G, H, LAMBDA_PLANE, ladder_picard, rank2_picard
 
@@ -440,3 +441,80 @@ class TestBoundaryValidation:
     def test_level_bound_needs_m(self):
         with pytest.raises(ValueError):
             level_bound(rank2_picard(), FIXTURE_G, None, -2)
+
+    # a g or m that is not a Sequence, the other one valid: L(3) with the
+    # ladder's g and m; an iterator over the valid entries is no vector either
+    NON_SEQUENCE = {
+        "is_ample m": lambda pic, v: is_ample(pic, (15, 1, 4), v),
+        "is_ample g": lambda pic, v: is_ample(pic, v, (3, 4, 0)),
+        "nef_threshold m": lambda pic, v: nef_threshold(pic, (15, 1, 4), v),
+        "validate_polarization g": lambda pic, v: validate_polarization(pic, v),
+        "enumerate_walls m": lambda pic, v: enumerate_walls(WallQuery(pic, (15, 1, 4), m=v)),
+        "slice_solutions g": lambda pic, v: slice_solutions(pic, v, 1, -2),
+    }
+
+    @pytest.mark.parametrize("value", [None, 5, iter], ids=["None", "5", "iterator"])
+    @pytest.mark.parametrize("call", NON_SEQUENCE)
+    def test_non_sequence_vector_raises_value_error(self, call, value):
+        if value is iter:
+            value = iter((3, 4, 0) if call.endswith(" m") else (15, 1, 4))
+        # enumerate_walls takes m=None for "no m", and then asks for a level cap
+        match = "level_cap" if (call, value) == ("enumerate_walls m", None) else "integer vector of length 3"
+        with pytest.raises(ValueError, match=match):
+            self.NON_SEQUENCE[call](ladder_picard(3), value)
+
+
+class TestDefaultTargets:
+    """The default targets are checked and grouped once, at import, and are
+    known by identity; targets that equal them in another object get every
+    check."""
+
+    PIC, G, M = ladder_picard(3), (15, 1, 4), (3, 4, 0)
+    ON_WALL = (1, 0, 0)  # orthogonal to delta = (0, 1, 0)
+    CALLS = {
+        "validate_polarization": lambda pic, g, m, t: validate_polarization(pic, g, t),
+        "enumerate_walls": lambda pic, g, m, t: enumerate_walls(WallQuery(pic, g, m=m, targets=t)),
+        "is_ample": is_ample,
+        "nef_threshold": nef_threshold,
+    }
+    EQUAL = {
+        "list": lambda: [(-2, 1), (-2, 2), (-10, 2)],
+        "generator": lambda: (target for target in DEFAULT_TARGETS),
+    }
+    NOT_PLAIN = [((-2, True), (-2, 2), (-10, 2)), ((-2.0, 1), (-2, 2), (-10, 2))]
+
+    @staticmethod
+    def outcome(call):
+        try:
+            return "ok", call()
+        except ValueError as exc:
+            return type(exc), str(exc)
+
+    @pytest.mark.parametrize("g", [G, ON_WALL], ids=["ample", "on a wall"])
+    @pytest.mark.parametrize("kind", EQUAL)
+    @pytest.mark.parametrize("entry", CALLS)
+    def test_equal_targets_give_the_default_answers(self, entry, kind, g):
+        run = self.CALLS[entry]
+        expected = self.outcome(lambda: run(self.PIC, g, self.M, DEFAULT_TARGETS))
+        assert self.outcome(lambda: run(self.PIC, g, self.M, self.EQUAL[kind]())) == expected
+
+    @pytest.mark.parametrize("targets", NOT_PLAIN, ids=["bool", "float"])
+    @pytest.mark.parametrize("entry", CALLS)
+    def test_equal_but_not_plain_targets_are_rejected(self, entry, targets):
+        assert targets == DEFAULT_TARGETS  # True == 1 and -2.0 == -2
+        with pytest.raises(ValueError, match="plain integers"):
+            self.CALLS[entry](self.PIC, self.G, self.M, targets)
+
+    @pytest.mark.parametrize("entry", CALLS)
+    def test_default_targets_are_not_grouped_again(self, entry, monkeypatch):
+        grouped = []
+        group = enumeration._target_groups
+        monkeypatch.setattr(enumeration, "_target_groups", lambda t: grouped.append(t) or group(t))
+        self.CALLS[entry](self.PIC, self.G, self.M, DEFAULT_TARGETS)
+        assert grouped == []
+        self.CALLS[entry](self.PIC, self.G, self.M, list(DEFAULT_TARGETS))
+        assert grouped
+
+    def test_wall_query_keeps_the_default_object(self):
+        assert WallQuery(self.PIC, self.G).targets is DEFAULT_TARGETS
+        assert WallQuery(self.PIC, self.G, targets=list(DEFAULT_TARGETS)).targets == DEFAULT_TARGETS

@@ -37,6 +37,7 @@ from lattice_fixtures import (
     rank2_picard,
     random_hyperbolic_picard,
     random_polarized_pair,
+    slice_context,
     unpruned_walls,
 )
 
@@ -114,7 +115,7 @@ class TestSliceSolutions:
                 slice_solutions(pic, (1, 0, 0), k, square)
         # sliced along m = e2+f2, the indefinite direction is the unreduced c_m
         with pytest.raises(ValueError, match="not negative definite"):
-            _SliceContext(pic, (1, 0, 0), (0, 0, 1))
+            slice_context(pic, (1, 0, 0), (0, 0, 1))
 
     @pytest.mark.parametrize("g", [(1, -1, 0), (0, 0, 1), (1, 0, 0)])
     def test_g_outside_the_positive_cone_rejected(self, g):
@@ -244,8 +245,8 @@ class TestHalfSpacePruning:
             for _ in range(4):
                 pic = random_hyperbolic_picard(rng, rank)
                 g, m = random_polarized_pair(rng, pic)
-                pruned = _SliceContext(pic, g, m)
-                full = _SliceContext(pic, g)
+                pruned = slice_context(pic, g, m)
+                full = slice_context(pic, g)
                 signs.add((pruned.u_m > 0) - (pruned.u_m < 0))
                 expected = []
                 for square, div in DEFAULT_TARGETS:
@@ -266,7 +267,7 @@ class TestHalfSpacePruning:
     def test_m_proportional_to_g_has_no_walls(self, factor):
         for pic, g in ((picard_rank3_diag(), (2, -1, 1)), (ladder_picard(4), (3, 0, 0, 0))):
             m = tuple(factor * c for c in g)
-            assert _SliceContext(pic, g, m).m_step == 0
+            assert slice_context(pic, g, m).m_step == 0
             assert enumerate_walls(WallQuery(pic, g, m=m)) == []
 
     def test_rank_two_clip_leaves_no_hit_past_m(self):
@@ -278,7 +279,7 @@ class TestHalfSpacePruning:
             pic = random_hyperbolic_picard(rng, 2)
             g, m = random_polarized_pair(rng, pic)
             caps = {square: level_bound(pic, g, m, square) for square in (-2, -10)}
-            found = _SliceContext(pic, g, m).solutions(caps)
+            found = slice_context(pic, g, m).solutions(caps)
             assert all(pic.pair(x, m) <= 0 for _, x, _ in found)
             hits += len(found)
         assert hits == 88
@@ -318,7 +319,7 @@ class TestIntegerKernel:
     """Every branch of the scaled-integer descent against the oracle."""
 
     def check_slices(self, pic, g, m=None, levels=range(0, 13), squares=(-2, -4, -10)):
-        ctx = _SliceContext(pic, g, m)
+        ctx = slice_context(pic, g, m)
         for k in levels:
             for square in squares:
                 for x in one_slice(ctx, k, square):
@@ -394,7 +395,7 @@ class TestIntegerKernel:
         for rank in (2, 3, 4, 5) * 3:
             pic = random_hyperbolic_picard(rng, rank)
             g, m = random_polarized_pair(rng, pic)
-            for ctx in (_SliceContext(pic, g), _SliceContext(pic, g, m)):
+            for ctx in (slice_context(pic, g), slice_context(pic, g, m)):
                 assert_clears_the_ldl_data(pic, ctx)
 
     def test_rider_slice_equals_the_combined_bases(self, monkeypatch):
@@ -410,7 +411,7 @@ class TestIntegerKernel:
             pic = random_hyperbolic_picard(rng, rank)
             g, m = random_polarized_pair(rng, pic)
             for ctx_m in (m, g, tuple(2 * c for c in g)):
-                ctx = _SliceContext(pic, g, ctx_m)
+                ctx = slice_context(pic, g, ctx_m)
                 _, _, kernel = linear_form_basis(pic.gram_times(g))
                 restricted = [pic.pair(b, ctx_m) for b in kernel]
                 m_step = 0
@@ -432,7 +433,7 @@ class TestIntegerKernel:
         pic = PicardLattice([H]) if rank == 1 else random_hyperbolic_picard(rng, rank)
         g = (1,) if rank == 1 else random_polarized_pair(rng, pic)[0]
         for m in (None, g, tuple(3 * c for c in g)):
-            ctx = _SliceContext(pic, g, m)
+            ctx = slice_context(pic, g, m)
             assert ctx.m_step == 0 and len(ctx.kernel) == rank - 1
             assert_clears_the_ldl_data(pic, ctx)
 
@@ -533,7 +534,7 @@ class TestLevelZeroContext:
             cases.append((pic, *random_polarized_pair(rng, pic)))
         for pic, g, m in cases:
             for ctx_m in (None, m):
-                ctx = _SliceContext(pic, g, ctx_m)
+                ctx = slice_context(pic, g, ctx_m)
                 kernel, nk = ctx.kernel, len(ctx.kernel)
                 scale, minors, rows = ldl_positive([[-pic.pair(a, b) for b in kernel] for a in kernel])
                 assert len(rows) == nk and gcd(ctx.q_den, ctx.q_num, *ctx.weights) == 1
@@ -670,6 +671,63 @@ class TestContextBuilds:
         assert builds == []
         enumerate_walls(WallQuery(pic, g, m=m, level_cap=4))
         assert len(builds) == 1
+
+
+class TestGramForms:
+    """A public call forms G*g and G*m once, through the validating
+    gram_times, and reads every pairing with g or m from these forms;
+    is_ample makes two public calls, so it may form each twice.
+
+    gram_times hands a tuple on as itself, so a form of g is a call with g
+    itself; a kernel row or u of a context that equals g is another object.
+    """
+
+    @staticmethod
+    def count_forms(monkeypatch):
+        formed = []
+        gram_times = PicardLattice._gram_times
+
+        def counted(pic, x):
+            formed.append(x)
+            return gram_times(pic, x)
+
+        monkeypatch.setattr(PicardLattice, "_gram_times", counted)
+        return formed
+
+    def test_each_form_once_per_public_call(self, monkeypatch):
+        formed = self.count_forms(monkeypatch)
+        verdicts = {
+            "validate_polarization": (lambda pic, g, m: validate_polarization(pic, g), 1),
+            "enumerate_walls": (lambda pic, g, m: enumerate_walls(WallQuery(pic, g, m=m)), 1),
+            "nef_threshold": (nef_threshold, 1),
+            "slice_solutions": (lambda pic, g, m: slice_solutions(pic, g, 2, -2), 1),
+            "is_ample": (is_ample, 2),
+        }
+        rng = random.Random(43)
+        for verdict, (run, most) in verdicts.items():
+            raised = 0
+            for case, rank in enumerate((2, 3, 4, 5) * 4):
+                pic = random_hyperbolic_picard(rng, rank)
+                g = orthogonal_polarization(rng, pic) if case % 2 else None
+                g, m = random_polarized_pair(rng, pic, g=g)
+                formed.clear()
+                try:
+                    run(pic, g, m)
+                except PreconditionError:
+                    raised += 1
+                assert 1 <= sum(x is g for x in formed) <= most, (verdict, case)
+                assert sum(x is m for x in formed) <= most, (verdict, case)
+            # every verdict but the wall list and the slice rejects a g on a wall
+            assert bool(raised) == (verdict not in ("enumerate_walls", "slice_solutions")), verdict
+
+    def test_isotropic_is_ample_forms_each_twice_at_most(self, monkeypatch):
+        formed = self.count_forms(monkeypatch)
+        pic, g, m = ladder_picard(3), (15, 1, 4), (1, 1, 1)
+        assert pic.square(m) == 0
+        formed.clear()
+        is_ample(pic, g, m)
+        assert 1 <= sum(x is g for x in formed) <= 2
+        assert 1 <= sum(x is m for x in formed) <= 2
 
 
 class TestDivisibilityReadout:

@@ -24,7 +24,7 @@ from hyperwall import (
     validate_polarization,
     vector_from_labels,
 )
-from hyperwall.enumeration import DEFAULT_TARGETS, _SliceContext, _target_groups
+from hyperwall.enumeration import DEFAULT_TARGETS, _target_groups
 from lattice_fixtures import (
     PRUNING_TARGETS,
     cofactor_det,
@@ -33,6 +33,7 @@ from lattice_fixtures import (
     orthogonal_polarization,
     random_hyperbolic_picard,
     random_polarized_pair,
+    slice_context,
     unpruned_walls,
 )
 
@@ -113,7 +114,7 @@ class TestSliceBasis:
         rng = random.Random(seed)
         pic = random_hyperbolic_picard(rng, rank)
         g, m = random_polarized_pair(rng, pic)
-        for ctx in (_SliceContext(pic, g), _SliceContext(pic, g, m)):
+        for ctx in (slice_context(pic, g), slice_context(pic, g, m)):
             nk = len(ctx.kernel)
             assert all(pic.pair(row, g) == 0 for row in ctx.kernel)
             assert pic.pair(ctx.u, g) == ctx.d
@@ -167,10 +168,10 @@ class TestSingleWalk:
         g, m = random_polarized_pair(rng, pic)
         squares = {s for s, _ in data.draw(st.sampled_from([DEFAULT_TARGETS, MIXED_TARGETS]))}
         if data.draw(st.booleans()):
-            ctx = _SliceContext(pic, g, m)
+            ctx = slice_context(pic, g, m)
             caps = {s: level_bound(pic, g, m, s) for s in squares}
         else:
-            ctx = _SliceContext(pic, g)
+            ctx = slice_context(pic, g)
             caps = {s: data.draw(st.integers(min_value=0, max_value=12)) for s in squares}
         first = data.draw(st.integers(min_value=0, max_value=1))
         expected = sorted(
@@ -195,10 +196,10 @@ class TestEvenSquares:
         g, m = random_polarized_pair(rng, pic)
         squares = sorted({s for s, _ in data.draw(st.sampled_from([DEFAULT_TARGETS, MIXED_TARGETS]))})
         if data.draw(st.booleans()):
-            ctx = _SliceContext(pic, g, m)
+            ctx = slice_context(pic, g, m)
             caps = {s: level_bound(pic, g, m, s) for s in squares}
         else:
-            ctx = _SliceContext(pic, g)
+            ctx = slice_context(pic, g)
             caps = {s: data.draw(st.integers(min_value=0, max_value=12)) for s in squares}
         first = data.draw(st.integers(min_value=0, max_value=1))
         even = set(data.draw(st.lists(st.sampled_from(squares), unique=True)))
@@ -226,7 +227,7 @@ class TestWalkOrder:
         rng = random.Random(seed)
         pic = random_hyperbolic_picard(rng, rank)
         g, m = ((1,), None) if rank == 1 else random_polarized_pair(rng, pic)
-        ctx = _SliceContext(pic, g, m if with_m else None)
+        ctx = slice_context(pic, g, m if with_m else None)
         kernel, u, nk = ctx.kernel, ctx.u, len(ctx.kernel)
         neg_gram = [[-pic.pair(a, b) for b in kernel] for a in kernel]
         base = [pic.pair(u, b) for b in kernel]
@@ -258,7 +259,7 @@ class TestParityPruning:
             g, m = (1,), None
         else:
             g, m = random_polarized_pair(rng, pic)
-        ctx = _SliceContext(pic, g, m if with_m else None)
+        ctx = slice_context(pic, g, m if with_m else None)
         coords, rho = ctx._parity()
         nk = len(ctx.kernel)
         # walk order: position p holds level nk - p, the scale at 0
@@ -462,7 +463,7 @@ class TestLevelZeroWalk:
             wider = dict.fromkeys(groups, 2 * gcd(*pic.gram_times(g)))
             level0 = {}
             for ctx_m in (None, m):
-                ctx = _SliceContext(pic, g, ctx_m)
+                ctx = slice_context(pic, g, ctx_m)
                 hits = ctx.solutions(caps, 0, even)
                 assert hits == [hit for hit in ctx.solutions(wider, 0, even) if pic.pair(hit[1], g) == 0]
                 level0[ctx_m] = sorted((square, x) for square, x, _ in hits)
