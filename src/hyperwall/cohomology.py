@@ -81,7 +81,7 @@ def q_dual() -> MiddleClass:
 def square_class(alpha, coeff=1, qdual_coeff=0) -> MiddleClass:
     """coeff * alpha^2 + qdual_coeff * q over the one-element basis (alpha,)."""
     return MiddleClass(
-        basis=(tuple(alpha),),
+        basis=(alpha,),
         tensor=((Fraction(coeff),),),
         qdual_coeff=Fraction(qdual_coeff),
     )
@@ -199,7 +199,7 @@ def line_class_of_plane(lam) -> CurveClass:
 
     Requires square -10 and divisibility 2 (which forces primitivity).
     """
-    v = tuple(lam)
+    v = _as_vector(lam, AMBIENT_RANK)
     if bb_pair(v, v) != -10:
         raise ValueError("a Lagrangian-plane class has square -10")
     if divisibility(v) != 2:

@@ -20,6 +20,7 @@ from .enumeration import (
     _collect_walls,
     _dot,
     _level_cap,
+    _read_targets,
     _validate_targets,
     enumerate_walls,
 )
@@ -111,16 +112,7 @@ def detect_isotropic_boundary(picard: PicardLattice, m) -> bool:
 
     Report-only flag; no fibration is constructed.
     """
-    coords = tuple(m)
-    return picard.square(coords) == 0 and math.gcd(*coords) == 1
-
-
-def _read_targets(targets):
-    """A one-shot iterable of targets read once into a tuple, since callers
-    read the targets more than once; an empty one is left for
-    _validate_targets to reject, and DEFAULT_TARGETS is kept as the same
-    object, which _validate_targets knows by identity."""
-    return targets if targets is DEFAULT_TARGETS or not targets else tuple(targets)
+    return picard.square(m) == 0 and math.gcd(*m) == 1
 
 
 def _checked_polarization(picard: PicardLattice, g, targets) -> tuple[tuple[int, ...], int, dict]:

@@ -37,11 +37,11 @@ spans that is one XOR and one shift per node.  A node that fails walks on
 with the budget of the most negative square that allows divisibility 1, or
 is dropped when there is none.  A walk with no level above the innermost
 (rank 2) or with no even-only square prunes nothing this way, so it skips
-the GF(2) setup and reads each hit's residue from x.
+the GF(2) setup and carries the plain P_j instead, with a bound no node
+reaches.
 
-The same residue, carried to every hit (or read from x when the walk
-skipped the setup), gives each wall its divisibility: it is 0 exactly
-when x has even divisibility.
+The same residue, carried to every hit, gives each wall its divisibility:
+it is 0 exactly when x has even divisibility.
 The discriminant group of K3^[2] is Z/2, so a primitive x (gcd(*x) == 1)
 has divisibility 2 when its residue is 0 and 1 otherwise (_wall_div).
 
@@ -67,10 +67,9 @@ from collections.abc import Sequence
 from math import gcd, isqrt, lcm
 from operator import mul
 
-from .lattice import PicardLattice, divisibility
+from .lattice import AMBIENT_RANK, PicardLattice, divisibility
 from .rational_linalg import (
     _reduced,
-    column_reduce,
     integer_interval,
     integral_lll,
     ldl_positive,
@@ -92,15 +91,14 @@ class WallClass(namedtuple("WallClass", "rho_picard rho_ambient square div")):
 
 class WallQuery(namedtuple("WallQuery", "picard g m targets level_cap")):
     """An enumeration request; g, m and targets are stored as tuples (a g or
-    m that is not a Sequence is kept, for enumerate_walls to reject)."""
+    m that is not a Sequence, or targets that _read_targets cannot read,
+    are kept, for enumerate_walls to reject)."""
 
     __slots__ = ()
 
     def __new__(cls, picard, g, m=None, targets=DEFAULT_TARGETS, level_cap=None):
         g, m = (tuple(v) if isinstance(v, Sequence) else v for v in (g, m))
-        if targets is not DEFAULT_TARGETS:  # the defaults are known by identity
-            targets = tuple((s, d) for s, d in targets)
-        return super().__new__(cls, picard, g, m, targets, level_cap)
+        return super().__new__(cls, picard, g, m, _read_targets(targets), level_cap)
 
     @classmethod
     def _make(cls, iterable):
@@ -149,14 +147,27 @@ def _validate_query(q: WallQuery) -> tuple[tuple, tuple, dict[int, frozenset[int
     return forms, pairings, groups
 
 
+def _read_targets(targets):
+    """The targets read once into a tuple of tuples; DEFAULT_TARGETS, and an
+    object that does not read so, are kept as they are (for _validate_targets)."""
+    if targets is DEFAULT_TARGETS:
+        return targets
+    try:
+        return tuple(tuple(target) for target in targets)
+    except TypeError:
+        return targets
+
+
 def _validate_targets(targets) -> dict[int, frozenset[int]]:
-    """Check the targets and return _target_groups of them.  The defaults
-    were checked and grouped at import and are known by identity: equal
-    targets in another object (True == 1) get every check."""
+    """Check the targets _read_targets gives and return _target_groups of
+    them.  The defaults were checked and grouped at import and are known by
+    identity: equal targets in another object (True == 1) get every check."""
     if targets is DEFAULT_TARGETS:
         return _DEFAULT_GROUPS
     if not targets:
         raise ValueError("at least one (square, div) target is required")
+    if type(targets) is not tuple or any(type(t) is not tuple or len(t) != 2 for t in targets):
+        raise ValueError("wall targets must be pairs of plain integers")
     for square, div in targets:
         if not (_plain_int(square) and _plain_int(div)):
             raise ValueError("wall targets must be pairs of plain integers")
@@ -174,7 +185,7 @@ def _target_groups(targets) -> dict[int, frozenset[int]]:
     return {s: frozenset(d) for s, d in groups.items()}
 
 
-_DEFAULT_GROUPS = _validate_targets(list(DEFAULT_TARGETS))  # shared: never mutate it
+_DEFAULT_GROUPS = _validate_targets(tuple(map(tuple, DEFAULT_TARGETS)))  # shared: never mutate it
 
 
 def level_bound(picard: PicardLattice, g, m, square: int) -> int:
@@ -237,8 +248,8 @@ class _SliceContext:
     (integral_lll), and its LDL data on the reduced rows drives the
     ellipsoid walks.
 
-    With m given (and not proportional to g), one column_reduce of (., m)
-    on the kernel, its rows riding along as columns, rebases it as
+    With m given (and not proportional to g), the same linear_form_basis
+    call reduces (., m) on the kernel too, and returns it as
     [basis of g-perp meet m-perp ..., c_m] with (c_m, m) = m_step > 0, so the
     outermost descent coordinate alone carries (x, m) beyond the constant
     part (k/d)(u, m), and solutions() clips it to the half-space
@@ -273,18 +284,11 @@ class _SliceContext:
 
     def __init__(self, picard: PicardLattice, w_g, w_m=None):
         self.picard = picard
-        self.d, self.u, self.kernel = linear_form_basis(w_g)
+        self.d, self.u, self.kernel = linear_form_basis(w_g, w_m)
         self.m_step = self.u_m = 0
-        if w_m is not None:
-            restricted = [_dot(b, w_m) for b in self.kernel]
-            # m proportional to g leaves (., m) zero on the kernel: no slice
-            if any(restricted):
-                # the kernel rows ride along as columns: the pivot column is
-                # c_m, the others span the part of the kernel orthogonal to m
-                (self.m_step, *_), *riders = column_reduce([restricted], zip(*self.kernel))
-                c_m, *rest = map(list, zip(*riders))
-                self.kernel = rest + [c_m]
-                self.u_m = _dot(self.u, w_m)
+        # m proportional to g is zero on the kernel: m_step = 0, no slice
+        if w_m is not None and self.kernel:
+            self.m_step, self.u_m = _dot(self.kernel[-1], w_m), _dot(self.u, w_m)
         nk = len(self.kernel)
         # c_m stays last and unreduced, so u_m, m_step and the clip hold
         free = nk - 1 if self.m_step else nk
@@ -376,9 +380,11 @@ class _SliceContext:
         leaves out every x with (x, m) > 0.
 
         res is the parity residue of x: 0 exactly when x has even
-        divisibility.  The pruned walk carries it to the leaf, negative
-        below a node that had no even completion; any other walk reads it
-        from x (_readout).
+        divisibility.  Every walk carries it to the leaf, negative below a
+        node that had no even completion: the pruned walk in the GF(2)
+        coordinates of _parity, any other as the XOR of the parity masks of
+        the columns at odd coordinates, which is _readout(x) since the
+        readout is linear mod 2.
 
         nearest = (groups, (g, g), (m, m), (g, m)) walks only toward the
         first wall the segment from g to m crosses.  With k = (x, g) and
@@ -414,10 +420,14 @@ class _SliceContext:
         # no even completion (its budget, and those of the nodes below, shifted)
         res = [0] * (nk + 1)
         # the GF(2) data can prune only with an even-only square and a level
-        # above the innermost; elsewhere each hit reads its residue from x
-        pruned = bool(even) and nk > 1
-        coords, rho = self._parity() if pruned else ([0] * (nk + 2), [0] * (nk + 1))
-        masks = self.picard._parity_masks
+        # above the innermost; any other walk carries the parity masks of its
+        # columns, whose bound rho lies past every mask bit: it prunes nothing
+        if even and nk > 1:
+            coords, rho = self._parity()
+        else:
+            masks = self.picard._parity_masks
+            coords = [_readout(col, masks) for col in (self.u, *reversed(self.kernel))] + [0]
+            rho = [AMBIENT_RANK] * (nk + 1)
         q1, rho1 = coords[slot], rho[nk - 1]
         start = -(-first // d)
         # the squares a scale asks for change only where it passes a cap
@@ -453,15 +463,11 @@ class _SliceContext:
                     r = -1
                 if nk == 0:
                     x = tuple(scale * c for c in self.u)
-                    r = _readout(x, masks)
                     found.extend((s, x, r) for s, off, parity in leaves if budget == off and not (parity and r))
                     continue
                 w[0], res[0] = scale, r
                 # w[1] < top_stop <=> (x, m) = scale*(u, m) + m_step*w[1] <= -ceil(k(b - a)/a)
-                if nearest is None:
-                    top_stop = -scale * u_m // m_step + 1 if m_step else None
-                else:
-                    top_stop = ((-scale * d * (b - a)) // a - scale * u_m) // m_step + 1
+                top_stop = ((-scale * d * (b - a)) // a - scale * u_m) // m_step + 1 if m_step else None
                 stop0 = top_stop if nk == 1 else None  # the clip of a top at level 0
                 p, remaining = 1, budget
                 if nk > 1:
@@ -503,18 +509,11 @@ class _SliceContext:
                                         w[nk] = v // den0
                                         if stop0 is not None and w[nk] >= stop0:
                                             continue
-                                        # the carried residue, or that of x; an even-only
-                                        # square needs residue 0
-                                        if pruned:
-                                            residue = r1 ^ coords[nk] if w[nk] & 1 else r1
-                                            if parity and residue:
-                                                continue
-                                            x = tuple(sum(map(mul, col, w)) for col in columns)
-                                        else:
-                                            x = tuple(sum(map(mul, col, w)) for col in columns)
-                                            residue = _readout(x, masks)
-                                            if parity and residue:
-                                                continue
+                                        # an even-only square needs residue 0
+                                        residue = r1 ^ coords[nk] if w[nk] & 1 else r1
+                                        if parity and residue:
+                                            continue
+                                        x = tuple(sum(map(mul, col, w)) for col in columns)
                                         found.append((s, x, residue))
                                         # a scale-0 hit crosses at 0 and would set a = 0
                                         if nearest is None or not scale:

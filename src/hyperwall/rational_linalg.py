@@ -113,21 +113,26 @@ def inertia(mat) -> tuple[int, int, int]:
     return pos, len(minors) - 1 - pos, len(a) + 1 - len(minors)
 
 
-def linear_form_basis(w: Sequence[int]) -> tuple[int, list[int], list[list[int]]]:
-    """Unimodular basis adapted to the integer linear form w.
+def linear_form_basis(w: Sequence[int], v=None) -> tuple[int, list[int], list[list[int]]]:
+    """Unimodular basis adapted to the integer linear form w, and to v.
 
     Returns (d, u, kernel) with d = gcd(w) > 0, w . u = d, and kernel an
-    integral basis of {x : w . x = 0}.  column_reduce of the one row w,
-    with the unit rows riding along, gives the change of basis T: its
-    column 0 is u and the others are the kernel, so together they span
-    the full integer lattice.
+    integral basis of {x : w . x = 0}.  column_reduce of the row w (and v),
+    with the unit rows riding along, gives the change of basis T: column 0
+    is u and the others are the kernel.  With v, column 1, put last, is the
+    kernel vector c with v . c > 0 and the rest are orthogonal to v; a v
+    zero on the kernel (proportional to w) gets w's basis alone.
     """
     n = len(w)
-    reduced = column_reduce([w], [[0] * i + [1] + [0] * (n - 1 - i) for i in range(n)])
-    if reduced is None:
-        raise ValueError("zero linear form")
-    u, *kernel = map(list, zip(*reduced[1:]))
-    return reduced[0][0], u, kernel
+    unit = [[0] * i + [1] + [0] * (n - 1 - i) for i in range(n)]
+    for rows in ([w] if v is None else [w, v], [w]):
+        reduced = column_reduce(rows, unit)
+        if reduced is not None:
+            u, *kernel = map(list, zip(*reduced[len(rows):]))
+            if len(rows) == 2:
+                kernel.append(kernel.pop(0))
+            return reduced[0][0], u, kernel
+    raise ValueError("zero linear form")
 
 
 def ldl_positive(mat) -> tuple[int, list[int], list[list[int]]]:

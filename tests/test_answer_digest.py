@@ -20,6 +20,14 @@ def test_digest_is_pinned():
     assert digest(40, 2024) == (763, "5204e891632ad310e6f4b834d03c2f8ec6342f6366df2bf40a82023047f0a841")
 
 
+def test_600_case_digest_is_pinned(capsys):
+    """The default run of tests/answer_digest.py, every public verdict on
+    600 seeded cases: any drift fails here."""
+    assert main([]) == 0
+    expected = (11205, "627b266fe681a71952dacaef5c85ceb54165cd488a080dc7d1f4ab74b2777331")
+    assert capsys.readouterr().out == f"cases 600 seed 2024 answers {expected[0]} sha256 {expected[1]}\n"
+
+
 def test_deep_digest_is_pinned(capsys):
     """Every answer of the deep-walk queries (ladder and capped shapes): any drift fails here."""
     assert main(["--deep"]) == 0

@@ -114,6 +114,10 @@ class TestMiddlePair:
         cls = square_class(H)
         assert middle_pair(cls, cls) == quad_product(H, H, H, H) == 12
 
+    def test_square_class_of_a_non_vector_raises_value_error(self):
+        with pytest.raises(ValueError, match="integer vector of length 23"):
+            square_class(5)
+
     def test_symmetry_and_bilinearity(self):
         rng = random.Random(77)
         basis = (H, DELTA)
@@ -265,3 +269,7 @@ class TestLineClass:
         assert bb_pair(w, w) == -10
         with pytest.raises(ValueError, match="divisibility"):
             line_class_of_plane(w)
+
+    def test_non_vector_raises_value_error(self):
+        with pytest.raises(ValueError, match="integer vector of length 23"):
+            line_class_of_plane(5)

@@ -383,6 +383,10 @@ class TestIsotropicDetection:
         assert detect_isotropic_boundary(pic, (2, 2)) is False  # imprimitive
         assert detect_isotropic_boundary(pic, (0, 0)) is False
 
+    def test_non_vector_raises_value_error(self):
+        with pytest.raises(ValueError, match="integer vector of length 2"):
+            detect_isotropic_boundary(rank2_picard(), 5)
+
 
 # Each public entry on the worked rank-2 lattice, called as f(pic, g, m).
 ENTRIES = {
@@ -462,6 +466,27 @@ class TestBoundaryValidation:
         match = "level_cap" if (call, value) == ("enumerate_walls m", None) else "integer vector of length 3"
         with pytest.raises(ValueError, match=match):
             self.NON_SEQUENCE[call](ladder_picard(3), value)
+
+    # malformed targets on L(3) with the ladder's g and m
+    TARGET_CALLS = {
+        "validate_polarization": lambda pic, t: validate_polarization(pic, (15, 1, 4), t),
+        "is_ample": lambda pic, t: is_ample(pic, (15, 1, 4), (3, 4, 0), t),
+        "nef_threshold": lambda pic, t: nef_threshold(pic, (15, 1, 4), (3, 4, 0), t),
+        "enumerate_walls": lambda pic, t: enumerate_walls(WallQuery(pic, (15, 1, 4), m=(3, 4, 0), targets=t)),
+    }
+
+    @pytest.mark.parametrize("targets", [5, ((-2, 1, 0),), "ab"], ids=["int", "triple", "str"])
+    @pytest.mark.parametrize("call", TARGET_CALLS)
+    def test_malformed_targets_raise_value_error(self, call, targets):
+        with pytest.raises(ValueError, match="wall targets must be pairs of plain integers"):
+            self.TARGET_CALLS[call](ladder_picard(3), targets)
+
+    def test_query_keeps_unreadable_targets(self):
+        # WallQuery stores them; enumerate_walls checks g and m first
+        query = WallQuery(ladder_picard(3), None, m=(3, 4, 0), targets=5)
+        assert query.targets == 5
+        with pytest.raises(ValueError, match="integer vector of length 3"):
+            enumerate_walls(query)
 
 
 class TestDefaultTargets:

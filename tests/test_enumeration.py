@@ -399,10 +399,10 @@ class TestIntegerKernel:
                 assert_clears_the_ldl_data(pic, ctx)
 
     def test_rider_slice_equals_the_combined_bases(self, monkeypatch):
-        """The m-slice from one column reduction, the kernel rows riding along
-        as columns, equals the former path kept here as the reference: a
-        second linear_form_basis on the restricted form, its basis combined
-        from the kernel rows.  With LLL switched off the raw sliced basis is
+        """The m-slice from the one two-row linear_form_basis(w_g, w_m) call
+        equals the former path kept here as the reference: a second
+        linear_form_basis on the restricted form, its basis combined from
+        the kernel rows.  With LLL switched off the raw sliced basis is
         compared; rank 2 has nk = 1, and m proportional to g no slice."""
         monkeypatch.setattr(enumeration, "integral_lll", lambda gram, rows: rows)
         rng = random.Random(41)
@@ -865,6 +865,11 @@ class TestQueryValidation:
         with pytest.raises(ValueError, match="level_cap must be a plain integer"):
             brute_force_walls(query, 5)
 
+    def test_negative_level_cap(self):
+        query = WallQuery(rank2_picard(), FIXTURE_G, targets=((-10, 2),), level_cap=-1)
+        with pytest.raises(ValueError, match="level_cap must be nonnegative"):
+            enumerate_walls(query)
+
 
 class TestLevelBound:
     def test_bound_is_necessary(self):
@@ -944,6 +949,16 @@ class TestBruteForceOracle:
         pic = picard_rank3_diag()
         q = WallQuery(pic, (2, -1, 1), m=(3, -1, 1))
         assert brute_force_walls(q, 28) == brute_force_walls(q, 30)
+
+    def test_numpy_scan_applies_the_level_cap(self):
+        # rank 4 at box 11 (23**4 > 200,000 points) is on the numpy path,
+        # here with a level cap and no m; the pure-python scan of the same
+        # grid is the reference
+        pic, g, squares = ladder_picard(4), (3, 0, 0, 0), frozenset({-2, -10})
+        args = (g, None, 24, 11, squares)
+        hits = enumeration._numpy_scan(pic.gram, *args)
+        assert sorted(hits) == sorted(enumeration._python_scan(pic, *args))
+        assert len(hits) < len(enumeration._numpy_scan(pic.gram, g, None, None, 11, squares))
 
     def test_randomized_equivalence(self):
         rng = random.Random(424242)

@@ -279,6 +279,31 @@ class TestLinearFormBasis:
         gcd signs and the zero form (the same ValueError) included."""
         assert outcome(linear_form_basis, w) == outcome(euclid_form_basis, w)
 
+    @settings(derandomize=True, database=None, deadline=None, max_examples=200)
+    @given(st.integers(min_value=2, max_value=6), st.integers(min_value=-3, max_value=3), st.data())
+    def test_second_form_slices_the_kernel(self, n, factor, data):
+        """With v, [u, *kernel] is still unimodular and adapted to w, v is
+        zero on every kernel vector but the last and positive on it; a v
+        proportional to w, or zero, gives the one-form result."""
+        ints = st.integers(min_value=-9, max_value=9)
+        w = data.draw(st.lists(ints, min_size=n, max_size=n).filter(any))
+        v = data.draw(st.lists(ints, min_size=n, max_size=n))
+        d, u, kernel = linear_form_basis(w, v)
+        assert d == gcd(*w) and dot(w, u) == d
+        assert all(dot(w, k) == 0 for k in kernel)
+        assert fraction_determinant([u] + kernel) in (1, -1)
+        if rank_of([w, v]) < 2:
+            assert (d, u, kernel) == linear_form_basis(w)
+        else:
+            assert [dot(v, k) for k in kernel[:-1]] == [0] * (n - 2)
+            assert dot(v, kernel[-1]) > 0
+        for proportional in ([0] * n, [factor * x for x in w]):
+            assert linear_form_basis(w, proportional) == linear_form_basis(w)
+
+
+def dot(a, b):
+    return sum(x * y for x, y in zip(a, b))
+
 
 def mat_mul(a, b):
     return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
