@@ -46,7 +46,7 @@ def main():
     print()
 
     print("== which (square, divisibility) pairs exist ==")
-    for square in range(-12, 0, -2):
+    for square in range(-2, -14, -2):
         row = []
         for div in (1, 2):
             row.append(f"div {div}: {'yes' if admissible_square_div(square, div) else 'no '}")

@@ -15,7 +15,6 @@ from math import isqrt
 from operator import mul
 
 from .lattice import AMBIENT_RANK, CurveClass, _as_vector, bb_pair, divisibility
-from .rational_linalg import _cleared
 
 QDUAL_SELF_PAIRING = 575          # 23 * 25
 QDUAL_DIVISOR_FACTOR = 25
@@ -156,7 +155,8 @@ def lagrangian_eliminant() -> tuple[int, int, int]:
     r0 = _PLANE_R0
     # r^T adj(M) r - 3 det M with r = (r0, x/4): coefficients of 1, x, x^2
     poly = (m11 * r0 * r0 - 3 * (m00 * m11 - m01 * m01), -m01 * r0 / 2, Fraction(m00, 16))
-    _, ints = _cleared(poly)
+    den = math.lcm(*(c.denominator for c in poly))
+    ints = [c.numerator * (den // c.denominator) for c in poly]
     content = math.gcd(*ints)
     c0, c1, c2 = (c // content for c in ints)
     return c2, c1, c0

@@ -28,6 +28,7 @@ from .lattice import (
     AMBIENT_RANK,
     PicardLattice,
     _as_vector,
+    _plain_int,
     _require_primitive,
     admissible_square_div,
     bb_pair,
@@ -80,6 +81,8 @@ class RayType(namedtuple("RayType", "kind dual_square dc_values")):
 
 def classify_square_div(square: int, div: int) -> RayType:
     """Extremal-ray type of a (square, divisibility) pair."""
+    if not (_plain_int(square) and _plain_int(div)):
+        raise ValueError("square and divisibility must be plain integers")
     if square >= 0:
         raise ValueError("wall classes have negative square")
     if div < 1:

@@ -67,7 +67,7 @@ from collections.abc import Sequence
 from math import gcd, isqrt, lcm
 from operator import mul
 
-from .lattice import AMBIENT_RANK, PicardLattice, divisibility
+from .lattice import AMBIENT_RANK, PicardLattice, _plain_int, divisibility
 from .rational_linalg import (
     _reduced,
     integer_interval,
@@ -104,10 +104,6 @@ class WallQuery(namedtuple("WallQuery", "picard g m targets level_cap")):
     def _make(cls, iterable):
         # _replace goes through _make: keep the tuple normalization
         return cls(*iterable)
-
-
-def _plain_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def _positive_cone(picard: PicardLattice, g, m=None) -> tuple[tuple, tuple]:
@@ -299,7 +295,7 @@ class _SliceContext:
                 )
             gram_kernel = [picard._gram_times(b) for b in self.kernel]
             neg_gram = [[-_dot(self.kernel[i], row) for i in range(nk)] for row in gram_kernel]
-            scale, minors, ldl_rows = ldl = ldl_positive(neg_gram)
+            minors, ldl_rows = ldl = ldl_positive(neg_gram)
         except ValueError as exc:
             raise ValueError(
                 "the form restricted to the complement of g is not negative "
@@ -321,8 +317,8 @@ class _SliceContext:
             den, row = _reduced(p * p_den, [centre] + [-p_den * c for c in reversed(nums)])
             self.denoms.append(den)
             self.centre_rows.append(row)
-            # the weight d_i/den^2, d_i = D_{i+1}/(D_i * scale), is p/dens[-1]
-            dens.append(minors[i] * scale * den * den)
+            # the weight d_i/den^2, d_i = D_{i+1}/D_i, is p/dens[-1]
+            dens.append(minors[i] * den * den)
         # -q_base and the weights over one common denominator, cut by _reduced
         # to the smallest
         common = lcm(p_den, *dens)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
 from functools import cached_property
 from operator import mul
@@ -38,6 +38,10 @@ BASIS_LABELS: tuple[str, ...] = (
 _E8_EDGES = ((1, 3), (2, 4), (3, 4), (4, 5), (5, 6), (6, 7), (7, 8))
 
 
+def _plain_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _as_vector(v, length: int) -> tuple[int, ...]:
     # an exact tuple or list skips the slower abstract Sequence test
     if type(v) not in (tuple, list) and (isinstance(v, (str, bytes)) or not isinstance(v, Sequence)):
@@ -49,6 +53,15 @@ def _as_vector(v, length: int) -> tuple[int, ...]:
         if not isinstance(x, int) or isinstance(x, bool):
             raise ValueError("vector entries must be plain integers")
     return out
+
+
+def _as_gram(gram) -> tuple[tuple[int, ...], ...]:
+    """The rows of gram; ValueError unless it is a square, symmetric int matrix."""
+    if not isinstance(gram, Sequence):
+        raise ValueError("a Gram matrix must be a sequence of integer rows")
+    rows = tuple(_as_vector(row, len(gram)) for row in gram)
+    check_symmetric(rows)
+    return rows
 
 
 def _negated_e8_cartan() -> list[list[int]]:
@@ -68,7 +81,7 @@ class AmbientLattice:
     """
 
     def __init__(self, gram: tuple[tuple[int, ...], ...], basis_labels: tuple[str, ...]):
-        check_symmetric(gram)
+        gram = _as_gram(gram)
         if len(basis_labels) != len(gram):
             raise ValueError("one basis label per Gram row is required")
         nonzero = tuple(tuple((j, x) for j, x in enumerate(row) if x) for row in gram)
@@ -127,8 +140,7 @@ class AmbientLattice:
         return inertia(self.gram)
 
     def determinant(self) -> int:
-        det = determinant(self.gram)
-        return int(det)
+        return determinant(self.gram)
 
 
 def make_k3_2_lattice() -> AmbientLattice:
@@ -163,16 +175,21 @@ def divisibility(v) -> int:
 
 
 def basis_vector(label: str) -> tuple[int, ...]:
-    idx = BASIS_LABELS.index(label)
-    return tuple(1 if i == idx else 0 for i in range(AMBIENT_RANK))
+    if label not in BASIS_LABELS:
+        raise ValueError(f"unknown basis label {label!r}")
+    return tuple(int(x == label) for x in BASIS_LABELS)
 
 
 def vector_from_labels(coeffs: dict[str, int]) -> tuple[int, ...]:
     """Integer combination of named basis vectors, e.g. {"e1": 1, "f1": 1}."""
-    out = [0] * AMBIENT_RANK
+    if not isinstance(coeffs, Mapping):
+        raise ValueError(f"expected a mapping of basis labels to plain integers, got {coeffs!r}")
+    out = (0,) * AMBIENT_RANK
     for label, c in coeffs.items():
-        out[BASIS_LABELS.index(label)] += c
-    return tuple(out)
+        if not _plain_int(c):
+            raise ValueError(f"the coefficient of {label!r} must be a plain integer, got {c!r}")
+        out = tuple(a + c * b for a, b in zip(out, basis_vector(label)))
+    return out
 
 
 def admissible_square_div(square: int, div: int) -> bool:
@@ -182,6 +199,8 @@ def admissible_square_div(square: int, div: int) -> bool:
     is 2v + a*delta with a odd, whose square 4(v,v) - 2a^2 is -2 mod 8;
     conversely every square in that class is realized inside U + <-2>.
     """
+    if not (_plain_int(square) and _plain_int(div)):
+        raise ValueError("square and divisibility must be plain integers")
     if div not in (1, 2):
         raise ValueError("divisibility must be 1 or 2")
     if square % 2:
@@ -217,7 +236,7 @@ def _require_primitive(v) -> None:
 
 def signature_of(gram) -> tuple[int, int, int]:
     """Inertia (positive, negative, zero) by exact symmetric elimination."""
-    return inertia(gram)
+    return inertia(_as_gram(gram))
 
 
 class PicardLattice:
@@ -237,6 +256,8 @@ class PicardLattice:
     """
 
     def __init__(self, basis: Iterable[Sequence[int]]):
+        if not isinstance(basis, Iterable):
+            raise ValueError("Picard basis must be an iterable of ambient integer vectors")
         self.basis = tuple(_as_vector(b, AMBIENT_RANK) for b in basis)
         if not self.basis:
             raise ValueError("Picard basis must be nonempty")

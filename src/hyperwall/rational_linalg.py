@@ -1,66 +1,46 @@
-"""Exact rational linear algebra primitives.
+"""Exact integer linear algebra kernels, unchecked: callers pass ints.
 
-Everything operates on plain Python ints and ``fractions.Fraction``; no
-floating point is used anywhere.  Wall membership and cone tests reduce to
-exact sign and equality questions, so even a single rounded intermediate
-value could silently drop or invent a wall.  The eliminations clear
-denominators once and then work in ints only (Bareiss, Math. Comp. 22,
-1968: every division is exact).  One symmetric pass gives inertia,
-determinant and ldl_positive (the pass's integers); solve_exact solves
-from that factor in integers, as Cholesky factor-then-solve does.
-Euclid's column reduction gives linear_form_basis and saturation_index;
-integral_lll reduces lattice bases.
+No floating point is used anywhere.  Wall membership and cone tests
+reduce to exact sign and equality questions, so even a single rounded
+intermediate value could silently drop or invent a wall.  One symmetric
+fraction-free pass (Bareiss, Math. Comp. 22, 1968: every division is
+exact) gives inertia, determinant and ldl_positive (the pass's integers);
+solve_exact solves from that factor in integers, as Cholesky
+factor-then-solve does.  Euclid's column reduction gives
+linear_form_basis and saturation_index; integral_lll reduces bases.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
-from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt
 from operator import mul
 
 
 def check_symmetric(mat) -> None:
-    n = len(mat)
-    if any(len(row) != n for row in mat):
-        raise ValueError("matrix is not square")
-    for i in range(n):
-        for j in range(i):
-            if mat[i][j] != mat[j][i]:
-                raise ValueError("matrix is not symmetric")
-
-
-def _cleared(row) -> tuple[int, list[int]]:
-    """(den, den * row) for the lcm den of the denominators; ints or Fractions."""
-    den = lcm(*(x.denominator for x in row))
-    return den, [x.numerator * (den // x.denominator) for x in row]
+    """Raise ValueError unless the square matrix mat is symmetric."""
+    if any(row[j] != mat[j][i] for i, row in enumerate(mat) for j in range(i)):
+        raise ValueError("matrix is not symmetric")
 
 
 def _reduced(den: int, row: list[int]) -> tuple[int, list[int]]:
-    """The rationals row/den as _cleared gives them: divided by their gcd,
-    den is the smallest positive denominator.  den must be positive."""
+    """The rationals row/den divided by their gcd, so that den is the
+    smallest positive denominator.  den must be positive."""
     g = gcd(den, *row)
     return den // g, [x // g for x in row]
 
 
-def _eliminate(mat) -> tuple[int, list[list[int]], list[int]]:
-    """One symmetric fraction-free (Bareiss) elimination pass.
+def _eliminate(mat) -> tuple[list[list[int]], list[int]]:
+    """One symmetric fraction-free (Bareiss) pass over a symmetric int matrix.
 
-    Returns (scale, a, minors): scale clears every denominator of mat (it
-    is 1 for plain-int entries, which skip the scan), and
-    minors = [1, D_1, ..., D_s] are the leading minors of a matrix
-    congruent to scale * mat by a unimodular change of basis.  The pass
-    stops when the trailing block is zero, so s is the rank.  Row k of a
-    holds the Bareiss row of step k from column k on.  Every division is
-    exact: the trailing entries stay bordered minors of an integer matrix.
+    Returns (a, minors): minors = [1, D_1, ..., D_s] are the leading
+    minors of a matrix congruent to mat by a unimodular change of basis.
+    The pass stops when the trailing block is zero, so s is the rank.  Row
+    k of a holds the Bareiss row of step k from column k on.  Every
+    division is exact: the trailing entries stay bordered minors of mat.
     """
-    check_symmetric(mat)
     n = len(mat)
-    if all(type(x) is int for row in mat for x in row):
-        scale, a = 1, [list(row) for row in mat]
-    else:
-        scale = lcm(*(x.denominator for row in mat for x in row))
-        a = [[x.numerator * (scale // x.denominator) for x in row] for row in mat]
+    a = [list(row) for row in mat]
     minors = [1]
     for k in range(n):
         if not a[k][k]:
@@ -88,18 +68,17 @@ def _eliminate(mat) -> tuple[int, list[list[int]], list[int]]:
             row, f = a[r], pivot_row[r]  # the matrix stays symmetric
             row[r:] = [(p * x - f * y) // prev for x, y in zip(row[r:], pivot_row[r:])]
         minors.append(p)
-    return scale, a, minors
+    return a, minors
 
 
-def determinant(mat) -> Fraction:
-    """Exact determinant of a symmetric rational matrix.
+def determinant(mat) -> int:
+    """Exact determinant of a symmetric integer matrix.
 
     A unimodular congruence keeps the determinant, so it is the last
     leading minor, or 0 when the elimination stops early.
     """
-    scale, a, minors = _eliminate(mat)
-    n = len(a)
-    return Fraction(minors[n], scale**n) if len(minors) > n else Fraction(0)
+    minors = _eliminate(mat)[1]
+    return minors[-1] if len(minors) > len(mat) else 0
 
 
 def inertia(mat) -> tuple[int, int, int]:
@@ -108,9 +87,9 @@ def inertia(mat) -> tuple[int, int, int]:
     The pivot D_{k+1} / D_k of the elimination has the sign of
     D_{k+1} * D_k (Jacobi), and the rank deficiency counts the zeros.
     """
-    _, a, minors = _eliminate(mat)
+    minors = _eliminate(mat)[1]
     pos = sum((x > 0) == (y > 0) for x, y in zip(minors, minors[1:]))
-    return pos, len(minors) - 1 - pos, len(a) + 1 - len(minors)
+    return pos, len(minors) - 1 - pos, len(mat) + 1 - len(minors)
 
 
 def linear_form_basis(w: Sequence[int], v=None) -> tuple[int, list[int], list[list[int]]]:
@@ -135,34 +114,33 @@ def linear_form_basis(w: Sequence[int], v=None) -> tuple[int, list[int], list[li
     raise ValueError("zero linear form")
 
 
-def ldl_positive(mat) -> tuple[int, list[int], list[list[int]]]:
-    """Fraction-free LDL data of a positive definite symmetric rational N.
+def ldl_positive(mat) -> tuple[list[int], list[list[int]]]:
+    """Fraction-free LDL data of a positive definite symmetric integer N.
 
-    Returns the integers (scale, minors, rows): scale clears N, minors =
-    [1, D_1, ..., D_n] are the leading minors of scale*N, and rows[i] is the
-    Bareiss row of step i in the columns j > i.  So with d_i = D_{i+1}/D_i,
-    scale * x^T N x = sum_i d_i (x_i + sum_{j>i} rows[i][j-i-1] x_j / D_{i+1})^2.
+    Returns the integers (minors, rows): minors = [1, D_1, ..., D_n] are
+    the leading minors of N, and rows[i] is the Bareiss row of step i in
+    the columns j > i.  So with d_i = D_{i+1}/D_i,
+    x^T N x = sum_i d_i (x_i + sum_{j>i} rows[i][j-i-1] x_j / D_{i+1})^2.
     Raises ValueError when N is not positive definite.
     """
-    scale, a, minors = _eliminate(mat)
-    n = len(a)
+    a, minors = _eliminate(mat)
     # all n minors positive: N is positive definite, so no pivot was moved
-    if len(minors) <= n or min(minors) <= 0:
+    if len(minors) <= len(a) or min(minors) <= 0:
         raise ValueError("matrix is not positive definite")
-    return scale, minors, [row[i + 1:] for i, row in enumerate(a)]
+    return minors, [row[i + 1:] for i, row in enumerate(a)]
 
 
 def solve_exact(ldl, b) -> tuple[int, list[int]]:
-    """Solve N x = b from ldl = ldl_positive(N), in integers.
+    """Solve N x = b from ldl = ldl_positive(N), for an integer vector b.
 
     Returns (den, xs) with x = xs/den in lowest terms and den > 0.  The
-    forward steps of the symmetric pass are replayed on the cleared b, and
-    back substitution solves for det * x, integral by Cramer's rule: every
+    forward steps of the symmetric pass are replayed on b, and back
+    substitution solves for det * x, integral by Cramer's rule: every
     division is exact.
     """
-    scale, minors, rows = ldl
+    minors, rows = ldl
     n = len(rows)
-    den, c = _cleared([scale * x for x in b])
+    c = list(b)
     for k, row in enumerate(rows):
         p, prev = minors[k + 1], minors[k]
         for r, f in enumerate(row, k + 1):
@@ -170,7 +148,7 @@ def solve_exact(ldl, b) -> tuple[int, list[int]]:
     det, x = minors[n], [0] * n
     for k in reversed(range(n)):
         x[k] = (det * c[k] - sum(map(mul, rows[k], x[k + 1:]))) // minors[k + 1]
-    return _reduced(det * den, x)
+    return _reduced(det, x)
 
 
 def integral_lll(gram, rows) -> list[list[int]]:
@@ -273,7 +251,7 @@ def column_reduce(rows, riders=()) -> list[list[int]] | None:
     same column operations.  Returns None when the rows are linearly
     dependent.
     """
-    work = [[int(x) for x in row] for row in (*rows, *riders)]
+    work = [list(row) for row in (*rows, *riders)]
     ncols = len(work[0]) if work else 0
     for i in range(len(rows)):
         row = work[i]

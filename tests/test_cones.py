@@ -9,6 +9,7 @@ from hyperwall import (
     PreconditionError,
     WallKind,
     WallQuery,
+    admissible_square_div,
     basis_vector,
     brute_force_walls,
     classify_square_div,
@@ -372,6 +373,16 @@ class TestClassification:
             classify_wall(H)
         with pytest.raises(ValueError):
             classify_square_div(0, 1)
+
+    @pytest.mark.parametrize("entry", [classify_square_div, admissible_square_div])
+    @pytest.mark.parametrize(
+        "square,div",
+        [(-2.0, 1), ("a", 1), (-2, True), (-2, 2.0), (Fraction(-2), 1), (None, 2), (False, 1)],
+        ids=["float-square", "str-square", "bool-div", "float-div", "fraction-square", "none-square", "bool-square"],
+    )
+    def test_non_integer_arguments_rejected(self, entry, square, div):
+        with pytest.raises(ValueError, match="square and divisibility must be plain integers"):
+            entry(square, div)
 
 
 class TestIsotropicDetection:

@@ -1,4 +1,4 @@
-"""Smoke test: every demo script runs to completion; demos 02 and 03 print what they printed before."""
+"""Smoke test: every demo script runs to completion; demos 01, 02 and 03 print what they printed before."""
 
 import os
 import subprocess
@@ -16,6 +16,9 @@ DEMOS = [
 ]
 
 
+# demo 01's whole output: lattice data, pairings, divisibility, the
+# admissibility table for the squares -2 ... -12 and the block signatures
+DEMO_01_OUTPUT = Path(__file__).resolve().parent / "demo_01_lattice_tour.out"
 # demo 02's whole output: walls, slices, verdicts and the nef-threshold walk
 DEMO_02_OUTPUT = Path(__file__).resolve().parent / "demo_02_walls_and_ample_cone.out"
 # demo 03's whole output: the eliminant, both plane solutions and the witness
@@ -35,6 +38,12 @@ def test_demo_exits_cleanly(demo, tmp_path):
     done = run_demo(demo, tmp_path)
     assert done.returncode == 0, done.stderr.decode()
     assert done.stdout
+
+
+def test_demo_01_output_is_unchanged(tmp_path):
+    done = run_demo("01_lattice_tour.py", tmp_path)
+    assert done.returncode == 0, done.stderr.decode()
+    assert done.stdout == DEMO_01_OUTPUT.read_bytes()
 
 
 def test_demo_02_output_is_unchanged(tmp_path):

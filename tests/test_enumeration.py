@@ -536,13 +536,13 @@ class TestLevelZeroContext:
             for ctx_m in (None, m):
                 ctx = slice_context(pic, g, ctx_m)
                 kernel, nk = ctx.kernel, len(ctx.kernel)
-                scale, minors, rows = ldl_positive([[-pic.pair(a, b) for b in kernel] for a in kernel])
+                minors, rows = ldl_positive([[-pic.pair(a, b) for b in kernel] for a in kernel])
                 assert len(rows) == nk and gcd(ctx.q_den, ctx.q_num, *ctx.weights) == 1
                 for p in range(1, nk + 1):
                     # position p holds level i; its row reads the scale, then t_{nk-1}, ..., t_{i+1}
                     i, den, row = nk - p, ctx.denoms[p], ctx.centre_rows[p]
-                    # d_i = D_{i+1}/(D_i * scale); row i of the LDL coefficients is rows[i]/D_{i+1}
-                    assert ctx.weights[p] * den**2 * minors[i] * scale == minors[i + 1] * ctx.q_den
+                    # d_i = D_{i+1}/D_i; row i of the LDL coefficients is rows[i]/D_{i+1}
+                    assert ctx.weights[p] * den**2 * minors[i] == minors[i + 1] * ctx.q_den
                     coef = [Fraction(c, minors[i + 1]) for c in rows[i]]
                     assert row[1:] == [-den * c for c in reversed(coef)]
                     assert gcd(den, *row) == 1

@@ -10,6 +10,7 @@ from hyperwall import (
     AMBIENT_RANK,
     BASIS_LABELS,
     K3_2_LATTICE,
+    AmbientLattice,
     PicardLattice,
     admissible_square_div,
     basis_vector,
@@ -302,11 +303,91 @@ class TestAsVector:
         assert str(info.value) == message
 
 
+NOT_SYMMETRIC = "matrix is not symmetric"
+NOT_ROWS = "a Gram matrix must be a sequence of integer rows"
+
+
+class TestGramBoundary:
+    """signature_of and AmbientLattice are the entries that take a user
+    matrix: they pass the rational_linalg kernels, which check nothing, a
+    square, symmetric matrix of plain ints and reject anything else."""
+
+    BAD_GRAMS = [
+        (((Fraction(1, 2),),), NOT_INTEGERS),
+        (((1.0,),), NOT_INTEGERS),
+        ([[Fraction(1, 2), 0], [0, -1]], NOT_INTEGERS),
+        ([[1, 0, 0], [0, 1, 0], [0, Fraction(1, 2), 1]], NOT_INTEGERS),
+        ([[True]], NOT_INTEGERS),
+        (5, NOT_ROWS),
+        (None, NOT_ROWS),
+        ("ab", "expected an integer vector of length 2"),
+        ([[1, 2, 3], [4, 5, 6]], "expected an integer vector of length 2, got length 3"),
+        ([[1, 2], [3]], "expected an integer vector of length 2, got length 1"),
+        ([[0, 1], [2, 0]], NOT_SYMMETRIC),
+        ([[1, 2], [3, 4]], NOT_SYMMETRIC),
+    ]
+    IDS = [
+        "fraction-1x1", "float", "fraction-2x2", "fraction-3x3", "bool", "int", "none", "str",
+        "non-square", "ragged", "asymmetric", "asymmetric-diagonal",
+    ]
+
+    @pytest.mark.parametrize("gram,message", BAD_GRAMS, ids=IDS)
+    def test_signature_of_rejects(self, gram, message):
+        with pytest.raises(ValueError) as info:
+            signature_of(gram)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("gram,message", BAD_GRAMS, ids=IDS)
+    def test_ambient_lattice_rejects(self, gram, message):
+        with pytest.raises(ValueError) as info:
+            AmbientLattice(gram, ("a", "b", "c")[: len(gram) if isinstance(gram, (list, tuple)) else 1])
+        assert str(info.value) == message
+
+    def test_ambient_lattice_keeps_tuples_and_an_int_determinant(self):
+        lat = AmbientLattice([[2, 1], [1, -2]], ("a", "b"))
+        assert lat.gram == ((2, 1), (1, -2))
+        assert lat == AmbientLattice(((2, 1), (1, -2)), ("a", "b"))
+        det = lat.determinant()
+        assert det == -5 and type(det) is int
+        assert lat.signature() == (1, 1, 0)
+
+
+class TestLabels:
+    @pytest.mark.parametrize("label", ["zz", "E1", 5, None, ("e1",)])
+    def test_unknown_label(self, label):
+        for call in (lambda: basis_vector(label), lambda: vector_from_labels({"e1": 1, label: 1})):
+            with pytest.raises(ValueError) as info:
+                call()
+            assert str(info.value) == f"unknown basis label {label!r}"
+
+    @pytest.mark.parametrize(
+        "coeffs,message",
+        [
+            (5, "expected a mapping of basis labels to plain integers, got 5"),
+            (None, "expected a mapping of basis labels to plain integers, got None"),
+            (["e1"], "expected a mapping of basis labels to plain integers, got ['e1']"),
+            ({"e1": 1.5}, "the coefficient of 'e1' must be a plain integer, got 1.5"),
+            ({"e1": True}, "the coefficient of 'e1' must be a plain integer, got True"),
+            ({"e1": Fraction(1)}, "the coefficient of 'e1' must be a plain integer, got Fraction(1, 1)"),
+        ],
+        ids=["int", "none", "list", "float", "bool", "fraction"],
+    )
+    def test_vector_from_labels_rejects(self, coeffs, message):
+        with pytest.raises(ValueError) as info:
+            vector_from_labels(coeffs)
+        assert str(info.value) == message
+
+
 class TestPicardLattice:
     def test_gram_is_derived_from_embedding(self):
         pic = rank2_picard()
         assert pic.gram == ((2, 0), (0, -2))
         assert pic.rank == 2
+
+    @pytest.mark.parametrize("basis", [5, None])
+    def test_non_iterable_basis_rejected(self, basis):
+        with pytest.raises(ValueError, match="Picard basis must be an iterable"):
+            PicardLattice(basis)
 
     def test_dependent_basis_rejected(self):
         with pytest.raises(ValueError):
