@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
+from collections.abc import Sequence
 from fractions import Fraction
 from math import isqrt
 from operator import mul
 
-from .lattice import AMBIENT_RANK, CurveClass, _as_vector, bb_pair, divisibility
+from .lattice import AMBIENT_RANK, CurveClass, _as_vector, _plain_int, bb_pair, divisibility
 
 QDUAL_SELF_PAIRING = 575          # 23 * 25
 QDUAL_DIVISOR_FACTOR = 25
@@ -44,23 +45,40 @@ def fujiki_check(a) -> bool:
     return quad_product(a, a, a, a) == 3 * bb_pair(a, a) ** 2
 
 
+def _sequence(value, name: str):
+    """value itself; ValueError unless it is a sequence other than a string."""
+    if isinstance(value, (str, bytes)) or not isinstance(value, Sequence):
+        raise ValueError(f"{name} must be a sequence, got {value!r}")
+    return value
+
+
+def _exact(x, name: str) -> Fraction:
+    """x as a Fraction; ValueError unless it is a plain int or a Fraction."""
+    if not (_plain_int(x) or isinstance(x, Fraction)):
+        raise ValueError(f"{name} must be a plain int or a Fraction, got {x!r}")
+    return Fraction(x)
+
+
 class MiddleClass(namedtuple("MiddleClass", "basis tensor qdual_coeff")):
     """A middle-cohomology class: a symmetric tensor over a chosen divisor
     basis plus a formal coefficient of the dual class q."""
 
     __slots__ = ()
 
-    def __new__(cls, basis, tensor, qdual_coeff=Fraction(0)):
-        basis = tuple(_as_vector(b, AMBIENT_RANK) for b in basis)
+    def __new__(cls, basis, tensor, qdual_coeff=0):
+        basis = tuple(_as_vector(b, AMBIENT_RANK) for b in _sequence(basis, "basis"))
         n = len(basis)
-        tensor = tuple(tuple(Fraction(x) for x in row) for row in tensor)
+        tensor = tuple(
+            tuple(_exact(x, "each tensor entry") for x in _sequence(row, "each tensor row"))
+            for row in _sequence(tensor, "tensor")
+        )
         if len(tensor) != n or any(len(row) != n for row in tensor):
             raise ValueError("tensor shape must match the basis length")
         for i in range(n):
             for j in range(i):
                 if tensor[i][j] != tensor[j][i]:
                     raise ValueError("tensor must be symmetric")
-        return super().__new__(cls, basis, tensor, Fraction(qdual_coeff))
+        return super().__new__(cls, basis, tensor, _exact(qdual_coeff, "qdual_coeff"))
 
     @classmethod
     def _make(cls, iterable):
@@ -74,16 +92,12 @@ class MiddleClass(namedtuple("MiddleClass", "basis tensor qdual_coeff")):
 
 def q_dual() -> MiddleClass:
     """The formal dual class q itself."""
-    return MiddleClass(basis=(), tensor=(), qdual_coeff=Fraction(1))
+    return MiddleClass(basis=(), tensor=(), qdual_coeff=1)
 
 
 def square_class(alpha, coeff=1, qdual_coeff=0) -> MiddleClass:
     """coeff * alpha^2 + qdual_coeff * q over the one-element basis (alpha,)."""
-    return MiddleClass(
-        basis=(alpha,),
-        tensor=((Fraction(coeff),),),
-        qdual_coeff=Fraction(qdual_coeff),
-    )
+    return MiddleClass(basis=(alpha,), tensor=((coeff,),), qdual_coeff=qdual_coeff)
 
 
 def middle_pair(x: MiddleClass, y: MiddleClass) -> Fraction:

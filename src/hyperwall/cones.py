@@ -224,18 +224,17 @@ def nef_threshold(
     """
     targets = _read_targets(targets)
     w_g, gg, groups = _checked_polarization(picard, g, targets)
-    # an m error comes after every error of g, the walk's included
     try:
         w_m = picard.gram_times(m)
-    except ValueError:
-        validate_polarization(picard, g, targets)
-        raise
-    mm, gm = _dot(m, w_m), _dot(g, w_m)
-    if mm <= 0 or gm <= 0:
-        validate_polarization(picard, g, targets)
+        mm, gm = _dot(m, w_m), _dot(g, w_m)
         if mm <= 0:
             raise PreconditionError("nef_threshold requires (m, m) > 0")
-        raise PreconditionError("nef_threshold requires (m, g) > 0")
+        if gm <= 0:
+            raise PreconditionError("nef_threshold requires (m, g) > 0")
+    except ValueError:
+        # an m error comes after every error of g, the walk's included
+        validate_polarization(picard, g, targets)
+        raise
     caps = {square: _level_cap(square, gg, mm, gm) for square in groups}
     walls = _collect_walls(picard, w_g, w_m, groups, caps, first=0, nearest=(gg, mm, gm))
     _raise_orthogonal([w for w in walls if not _dot(w.rho_picard, w_g)], groups)

@@ -686,6 +686,8 @@ def brute_force_walls(query: WallQuery, box: int) -> list[WallClass]:
     Python.
     """
     (w_g, w_m), _, groups = _validate_query(query)
+    if not _plain_int(box):
+        raise ValueError(f"box must be a plain integer, got {box!r}")
     if box <= 0:
         return []
     picard = query.picard

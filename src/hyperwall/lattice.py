@@ -2,9 +2,11 @@
 
 The ambient lattice is U + U + U + (-E8) + (-E8) + <-2> in a frozen basis
 order; divisor classes are integer vectors of length 23 in that basis.
-Divisibility is always taken against the full ambient lattice, which is why
-Picard data must be supplied as embedded ambient vectors and never as an
-abstract Gram matrix alone.
+AmbientLattice is this one lattice, built from no arguments, and
+K3_2_LATTICE its shared instance.  Divisibility is always taken against the
+full ambient lattice, which is why Picard data must be supplied as embedded
+ambient vectors and never as an abstract Gram matrix alone; signature_of is
+the one entry that takes a user Gram.
 """
 
 from __future__ import annotations
@@ -55,39 +57,28 @@ def _as_vector(v, length: int) -> tuple[int, ...]:
     return out
 
 
-def _as_gram(gram) -> tuple[tuple[int, ...], ...]:
-    """The rows of gram; ValueError unless it is a square, symmetric int matrix."""
-    if not isinstance(gram, Sequence):
-        raise ValueError("a Gram matrix must be a sequence of integer rows")
-    rows = tuple(_as_vector(row, len(gram)) for row in gram)
-    check_symmetric(rows)
-    return rows
-
-
-def _negated_e8_cartan() -> list[list[int]]:
-    block = [[0] * 8 for _ in range(8)]
-    for i in range(8):
-        block[i][i] = -2
-    for a, b in _E8_EDGES:
-        block[a - 1][b - 1] = 1
-        block[b - 1][a - 1] = 1
-    return block
-
-
 class AmbientLattice:
-    """An integral lattice given by its Gram matrix in a fixed basis.
+    """The K3^[2] lattice U^3 + (-E8)^2 + <-2> in its frozen basis order.
 
-    Immutable; two instances are equal when their gram and basis_labels are.
+    Immutable; its one instance is K3_2_LATTICE.
     """
 
-    def __init__(self, gram: tuple[tuple[int, ...], ...], basis_labels: tuple[str, ...]):
-        gram = _as_gram(gram)
-        if len(basis_labels) != len(gram):
-            raise ValueError("one basis label per Gram row is required")
+    rank = AMBIENT_RANK
+    basis_labels = BASIS_LABELS
+
+    def __init__(self):
+        gram = [[0] * AMBIENT_RANK for _ in range(AMBIENT_RANK)]
+        for i in (0, 2, 4):
+            gram[i][i + 1] = gram[i + 1][i] = 1
+        for offset in (6, 14):
+            for i in range(offset, offset + 8):
+                gram[i][i] = -2
+            for a, b in _E8_EDGES:
+                gram[offset + a - 1][offset + b - 1] = gram[offset + b - 1][offset + a - 1] = 1
+        gram[22][22] = -2
         nonzero = tuple(tuple((j, x) for j, x in enumerate(row) if x) for row in gram)
         set_field = object.__setattr__
-        set_field(self, "gram", gram)
-        set_field(self, "basis_labels", basis_labels)
+        set_field(self, "gram", tuple(map(tuple, gram)))
         set_field(self, "_nonzero_rows", nonzero)
 
     def __setattr__(self, name, value):
@@ -95,21 +86,6 @@ class AmbientLattice:
 
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
-
-    def __repr__(self):
-        return f"AmbientLattice(gram={self.gram!r}, basis_labels={self.basis_labels!r})"
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.gram, self.basis_labels) == (other.gram, other.basis_labels)
-
-    def __hash__(self):
-        return hash((self.gram, self.basis_labels))
-
-    @property
-    def rank(self) -> int:
-        return len(self.gram)
 
     def pair(self, a, b) -> int:
         """The bilinear form a^T . gram . b, exactly."""
@@ -143,26 +119,12 @@ class AmbientLattice:
         return determinant(self.gram)
 
 
+K3_2_LATTICE = AmbientLattice()
+
+
 def make_k3_2_lattice() -> AmbientLattice:
-    """The rank-23 lattice U^3 + (-E8)^2 + <-2> with its frozen basis order."""
-    gram = [[0] * AMBIENT_RANK for _ in range(AMBIENT_RANK)]
-    for k in range(3):
-        i = 2 * k
-        gram[i][i + 1] = 1
-        gram[i + 1][i] = 1
-    e8 = _negated_e8_cartan()
-    for offset in (6, 14):
-        for i in range(8):
-            for j in range(8):
-                gram[offset + i][offset + j] = e8[i][j]
-    gram[22][22] = -2
-    return AmbientLattice(
-        gram=tuple(tuple(row) for row in gram),
-        basis_labels=BASIS_LABELS,
-    )
-
-
-K3_2_LATTICE = make_k3_2_lattice()
+    """The rank-23 lattice U^3 + (-E8)^2 + <-2>: the shared K3_2_LATTICE."""
+    return K3_2_LATTICE
 
 
 def bb_pair(a, b) -> int:
@@ -235,8 +197,16 @@ def _require_primitive(v) -> None:
 
 
 def signature_of(gram) -> tuple[int, int, int]:
-    """Inertia (positive, negative, zero) by exact symmetric elimination."""
-    return inertia(_as_gram(gram))
+    """Inertia (positive, negative, zero) by exact symmetric elimination.
+
+    The one entry that takes a user Gram: anything but a square, symmetric
+    matrix of plain ints is rejected before the unchecked kernel sees it.
+    """
+    if not isinstance(gram, Sequence):
+        raise ValueError("a Gram matrix must be a sequence of integer rows")
+    rows = tuple(_as_vector(row, len(gram)) for row in gram)
+    check_symmetric(rows)
+    return inertia(rows)
 
 
 class PicardLattice:

@@ -930,6 +930,12 @@ class TestBruteForceOracle:
         q = WallQuery(rank2_picard(), FIXTURE_G, m=(1, 0))
         assert brute_force_walls(q, 0) == []
 
+    @pytest.mark.parametrize("box", [None, 2.5, 2.0, True, "2", Fraction(2)])
+    def test_box_is_a_plain_integer(self, box):
+        q = WallQuery(rank2_picard(), FIXTURE_G, m=(1, 0))
+        with pytest.raises(ValueError, match="box must be a plain integer"):
+            brute_force_walls(q, box)
+
     def test_agrees_on_fixture(self):
         q = WallQuery(rank2_picard(), FIXTURE_G, m=(1, 0))
         assert brute_force_walls(q, 10) == enumerate_walls(q)

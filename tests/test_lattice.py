@@ -39,6 +39,17 @@ class TestGramConstruction:
         assert len(lat.basis_labels) == 23
         assert lat.basis_labels == BASIS_LABELS
 
+    def test_one_lattice_built_from_no_arguments(self):
+        assert make_k3_2_lattice() is K3_2_LATTICE
+        assert AmbientLattice().gram == K3_2_LATTICE.gram
+
+    def test_gram_is_tuples_and_the_determinant_an_int(self):
+        assert type(K3_2_LATTICE.gram) is tuple
+        assert all(type(row) is tuple for row in K3_2_LATTICE.gram)
+        det = K3_2_LATTICE.determinant()
+        assert det == 2 and type(det) is int
+        assert K3_2_LATTICE.signature() == (3, 20, 0)
+
     def test_hyperbolic_blocks(self):
         assert bb_pair(E1, F1) == 1
         assert bb_pair(E1, E1) == 0
@@ -308,9 +319,9 @@ NOT_ROWS = "a Gram matrix must be a sequence of integer rows"
 
 
 class TestGramBoundary:
-    """signature_of and AmbientLattice are the entries that take a user
-    matrix: they pass the rational_linalg kernels, which check nothing, a
-    square, symmetric matrix of plain ints and reject anything else."""
+    """signature_of is the one entry that takes a user matrix: it passes the
+    rational_linalg kernels, which check nothing, a square, symmetric matrix
+    of plain ints and rejects anything else."""
 
     BAD_GRAMS = [
         (((Fraction(1, 2),),), NOT_INTEGERS),
@@ -336,20 +347,6 @@ class TestGramBoundary:
         with pytest.raises(ValueError) as info:
             signature_of(gram)
         assert str(info.value) == message
-
-    @pytest.mark.parametrize("gram,message", BAD_GRAMS, ids=IDS)
-    def test_ambient_lattice_rejects(self, gram, message):
-        with pytest.raises(ValueError) as info:
-            AmbientLattice(gram, ("a", "b", "c")[: len(gram) if isinstance(gram, (list, tuple)) else 1])
-        assert str(info.value) == message
-
-    def test_ambient_lattice_keeps_tuples_and_an_int_determinant(self):
-        lat = AmbientLattice([[2, 1], [1, -2]], ("a", "b"))
-        assert lat.gram == ((2, 1), (1, -2))
-        assert lat == AmbientLattice(((2, 1), (1, -2)), ("a", "b"))
-        det = lat.determinant()
-        assert det == -5 and type(det) is int
-        assert lat.signature() == (1, 1, 0)
 
 
 class TestLabels:

@@ -560,8 +560,8 @@ def ldl_fractions(minors, rows):
 
 class TestBareissAgainstFractionReferences:
     """The fraction-free kernels on integer matrices equal Fraction Gaussian
-    elimination.  The kernels check nothing; signature_of and
-    AmbientLattice reject other matrices (tests/test_lattice.py)."""
+    elimination.  The kernels check nothing; signature_of, the one entry
+    that takes a user Gram, rejects other matrices (tests/test_lattice.py)."""
 
     @KERNEL_SETTINGS
     @given(st.integers(min_value=0, max_value=6), st.sampled_from(SYMMETRIC_KINDS), st.data())

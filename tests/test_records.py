@@ -1,5 +1,5 @@
 """The public records keep their constructors, reprs, equality, hashing and
-immutability.
+immutability; the one ambient lattice, K3_2_LATTICE, keeps read-only fields.
 
 The expected reprs are the text the records printed when they were still
 frozen dataclasses.  PicardLattice has no repr of its own, so the records
@@ -11,7 +11,7 @@ from fractions import Fraction
 import pytest
 
 from hyperwall import (
-    AmbientLattice,
+    K3_2_LATTICE,
     MiddleClass,
     WallClass,
     WallQuery,
@@ -52,11 +52,6 @@ RECORDS = {
         "RayType(kind=<WallKind.DIVISORIAL_HALF: 'divisorial_half'>, "
         "dual_square=Fraction(-1, 2), dc_values=(-1, -2))",
         "kind",
-    ),
-    "AmbientLattice": (
-        lambda: AmbientLattice(((2, 1), (1, -2)), ("a", "b")),
-        "AmbientLattice(gram=((2, 1), (1, -2)), basis_labels=('a', 'b'))",
-        "gram",
     ),
     "CurveClass": (
         lambda: dual_class(DELTA),
@@ -112,10 +107,20 @@ def test_fields_are_read_only(name):
     assert getattr(record, field) == before
 
 
+@pytest.mark.parametrize("field", ["gram", "rank", "basis_labels"])
+def test_k3_2_lattice_fields_are_read_only(field):
+    before = getattr(K3_2_LATTICE, field)
+    with pytest.raises(AttributeError):
+        setattr(K3_2_LATTICE, field, None)
+    with pytest.raises(AttributeError):
+        delattr(K3_2_LATTICE, field)
+    with pytest.raises(AttributeError):
+        K3_2_LATTICE.no_such_field = 1
+    assert getattr(K3_2_LATTICE, field) is before
+
+
 def test_different_values_differ():
     assert WallClass((0, 1), DELTA, -2, 2) != WallClass((0, -1), DELTA, -2, 2)
-    assert AmbientLattice(((2,),), ("a",)) != AmbientLattice(((2,),), ("b",))
-    assert AmbientLattice(((2,),), ("a",)) != (((2,),), ("a",))
 
 
 class TestWallQuery:
@@ -161,16 +166,25 @@ class TestMiddleClass:
         with pytest.raises(ValueError, match="tensor must be symmetric"):
             MiddleClass(basis=(e1, DELTA), tensor=((0, 1), (2, 0)))
 
+    @pytest.mark.parametrize("bad", [0.1, 1.0, True, "1", None], ids=["float", "whole-float", "bool", "str", "none"])
+    def test_entries_are_plain_ints_or_fractions(self, bad):
+        with pytest.raises(ValueError, match="each tensor entry must be a plain int or a Fraction"):
+            MiddleClass(basis=(DELTA,), tensor=((bad,),))
+        with pytest.raises(ValueError, match="qdual_coeff must be a plain int or a Fraction"):
+            square_class(DELTA, qdual_coeff=bad)
+        with pytest.raises(ValueError, match="each tensor entry"):
+            square_class(DELTA, coeff=bad)
+
+    @pytest.mark.parametrize("basis,tensor,message", [
+        (5, ((1,),), "basis must be a sequence"),
+        (iter([DELTA]), ((1,),), "basis must be a sequence"),
+        ((DELTA,), 5, "tensor must be a sequence"),
+        ((DELTA,), ("a",), "each tensor row must be a sequence"),
+    ], ids=["int-basis", "iterator-basis", "int-tensor", "str-row"])
+    def test_basis_and_tensor_are_sequences(self, basis, tensor, message):
+        with pytest.raises(ValueError, match=message):
+            MiddleClass(basis, tensor)
+
     def test_replace_validates(self):
         with pytest.raises(ValueError, match="tensor shape"):
             square_class(DELTA)._replace(tensor=((1, 0),))
-
-
-class TestAmbientLattice:
-    def test_asymmetric_gram_rejected(self):
-        with pytest.raises(ValueError):
-            AmbientLattice(((2, 1), (0, -2)), ("a", "b"))
-
-    def test_label_count_checked(self):
-        with pytest.raises(ValueError, match="one basis label per Gram row"):
-            AmbientLattice(((2, 1), (1, -2)), ("a",))
